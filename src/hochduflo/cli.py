@@ -13,10 +13,11 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from .exact import GradedMap, GradedVector, StructuralError, cohomology_slice
+from .exact import (GradedMap, StructuralError, cohomology_slice,
+                    rows_nullspace, rows_rank)
 from .liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
-                     ce_module_sym, ce_module_trivial, ce_module_ug,
-                     ce_differential, invariants_basis)
+                     ce_hom_matrix, ce_module_sym, ce_module_trivial,
+                     ce_module_ug, invariants_basis)
 from .hochschild import dual_odd_algebra, interior_hh
 from . import suites as S
 from . import duflo as D
@@ -33,12 +34,22 @@ def load_lie_algebra(path_or_name) -> LieAlgebra:
     zero and antisymmetry is completed automatically.
     """
     name = str(path_or_name)
-    if name in BUNDLED:
-        with resources.files("hochduflo.data").joinpath(name + ".json") \
-                .open() as fh:
-            g = LieAlgebra.from_dict(json.load(fh))
-    else:
-        g = LieAlgebra.from_json_file(name)
+    try:
+        if name in BUNDLED:
+            with resources.files("hochduflo.data").joinpath(name + ".json") \
+                    .open() as fh:
+                g = LieAlgebra.from_dict(json.load(fh))
+        else:
+            g = LieAlgebra.from_json_file(name)
+    except OSError as exc:
+        raise StructuralError("cannot read %s: %s"
+                              % (name, exc.strerror or exc))
+    except ValueError as exc:           # malformed JSON or number
+        raise StructuralError("malformed structure constants in %s: %s"
+                              % (name, exc))
+    except KeyError as exc:
+        raise StructuralError("structure constants in %s lack the field %s"
+                              % (name, exc))
     report = g.validate()
     if not report.ok:
         raise StructuralError(
@@ -94,30 +105,9 @@ def cmd_cohomology(args):
         else:
             module = ce_module_ug(UgWindow(g, args.pbw))
         # matrices of d_CE on the hom windows, sliced by arity
-        from .exact import rows_nullspace, rows_rank, ZERO
-
-        def hom_basis(k):
-            return [(y, u) for y in odd.space.keys if len(y) == k
-                    for u in module.space.keys]
-
-        def d_matrix(k):
-            src = hom_basis(k)
-            tgt = hom_basis(k + 1)
-            tix = {t: i for i, t in enumerate(tgt)}
-            rows = [[ZERO] * len(src) for _ in tgt]
-            for j, (y, u) in enumerate(src):
-                f = GradedMap(odd.space, module.space, k, columns={
-                    y: GradedVector.basis(module.space, u)})
-                df = ce_differential(odd, module, f)
-                for y2, col in df.columns.items():
-                    for u2, c in col.coeffs.items():
-                        if (y2, u2) in tix:
-                            rows[tix[(y2, u2)]][j] = c
-            return rows, src
-
         prev_rank = 0
         for n in range(0, g.dimension + 1):
-            rows, src = d_matrix(n)
+            rows, src = ce_hom_matrix(odd, module, module.space.keys, n)
             kernel = len(rows_nullspace(rows, len(src))) if src else 0
             out["dims"][str(n)] = kernel - prev_rank
             prev_rank = rows_rank(rows) if rows else 0
@@ -195,6 +185,9 @@ def build_parser():
 
     p = sub.add_parser("suite", help="run a verification suite")
     p.add_argument("name", help="suite name or 'all'")
+    # the same flag after the subcommand; left out there, it keeps the above
+    p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                   help="machine-readable output")
     p.add_argument("--lie", default="aff1",
                    help="bundled name or JSON path (default aff1)")
     p.add_argument("--max-arity", type=int, default=3, dest="max_arity")

@@ -70,9 +70,6 @@ class SymCoalgebra:
         self.space = BasisSpace(name, items)
         self.square = tensor_square_space(self.space)
 
-    def degree_of_generator(self, gid):
-        return self.generators[gid]
-
     def counit_coeff(self, key):
         return ONE if len(key) == 0 else ZERO
 
@@ -371,16 +368,6 @@ def twisted_tensor_differential(conv: ConvolutionAlgebra, tau: GradedMap,
 # comodules and cogenerators
 # ---------------------------------------------------------------------------
 
-def comodule_coaction(carrier: BasisSpace, coalgebra, value_space: BasisSpace):
-    """Coaction id (x) Delta of V (x) SW, columnwise on the pair keys."""
-    out = {}
-    for (vkey, wkey) in carrier.keys:
-        col = {}
-        for (w1, w2), c in coalgebra.coproduct_key(wkey).items():
-            _acc(col, ((vkey, w1), w2), c)
-        out[(vkey, wkey)] = col
-    return out
-
 
 def cogenerator_lift(carrier: BasisSpace, coalgebra, f: GradedMap) -> GradedMap:
     """Psi_f = (f (x) id) o (id (x) Delta) on V (x) SW.
@@ -404,14 +391,6 @@ def cogenerator_lift(carrier: BasisSpace, coalgebra, f: GradedMap) -> GradedMap:
     return out
 
 
-def comodule_projection(carrier: BasisSpace, target_pairs=None):
-    """pr: V (x) SW ->> V (x) S^0 W, as columns on pair keys."""
-    def project(key):
-        vkey, wkey = key
-        return (vkey, ()) if wkey == () else None
-    return project
-
-
 def comodule_morphism_defect(carrier: BasisSpace, coalgebra, psi: GradedMap):
     """(Psi (x) id) o phi - phi o Psi on every basis key; empty iff morphism."""
     bad = []
@@ -432,30 +411,6 @@ def comodule_morphism_defect(carrier: BasisSpace, coalgebra, psi: GradedMap):
         if lhs != rhs:
             bad.append((vkey, wkey))
     return bad
-
-
-def module_action_from_coaction(carrier: BasisSpace, coalgebra,
-                                functional) -> GradedMap:
-    """Left action of a functional f in Hom(C, k) via the coaction.
-
-    rho(f (x) m) = mu_{M,k} (id (x) f) phi(m); the Koszul sign of moving f
-    past the M-part is included.  ``functional`` maps coalgebra keys to
-    rationals; its degree is inferred from its support.
-    """
-    fdeg = functional.get("degree", 0)
-    values = functional["values"]
-    out = GradedMap(carrier, carrier, fdeg)
-    for (vkey, wkey) in carrier.keys:
-        col = GradedVector.zero(carrier)
-        for (w1, w2), c in coalgebra.coproduct_key(wkey).items():
-            fc = values.get(w2, ZERO)
-            if not fc:
-                continue
-            mdeg = carrier.degree[(vkey, w1)]
-            sign = -1 if (fdeg * mdeg) % 2 else 1
-            col.add_term((vkey, w1), sign * c * fc)
-        out.set_column((vkey, wkey), col, check=False)
-    return out
 
 
 # ---------------------------------------------------------------------------

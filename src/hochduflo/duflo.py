@@ -18,17 +18,17 @@ from math import factorial
 
 from .signs import sgn, perm_parity
 from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
-                    StructuralError, WindowOverflow, derive_seed,
+                    StructuralError, WindowOverflow, bilinear, derive_seed,
                     random_vector)
 from .series import PolyTrunc, duflo_log_coefficients, matrix_series_det
 from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, SymPoly,
                      interior_product, pair_dual_vec, pbw_map,
                      ce_differential, ce_module_sym, ce_module_ug,
                      coadjoint_action_poly, CeModule)
-from .hochschild import Cochain, Derived, DgAlgebra, BimoduleOps, hoch_d, \
-    hoch_partial
+from .hochschild import (Cochain, Derived, DgAlgebra, BimoduleOps, add_cochain,
+                         hoch_d, hoch_partial)
 from .keller import LieTriple
-from .trio import XCochain, d_ax, d_xb, d_left, d_right, del_x, x_sum
+from .trio import (XCochain, add_x_part, d_ax, d_xb, d_left, d_right, del_x)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +223,7 @@ class PolyVectors:
         return out
 
     def mul(self, v, w):
-        out = GradedVector.zero(self.space)
-        for k1, c1 in v.coeffs.items():
-            for k2, c2 in w.coeffs.items():
-                out.add_inplace(self.mul_keys(k1, k2), c1 * c2)
-        return out
+        return bilinear(self.mul_keys, self.space, v, w)
 
     def hom_space(self) -> BasisSpace:
         """Hom(S(g[1]), S(g)) window with keys (source, value)."""
@@ -298,16 +294,6 @@ class PolyVectors:
             self._d_t = self.phi_t_inverse().compose(
                 self.ce_differential_on_hom().compose(self.phi_t()))
         return self._d_t
-
-    def todd_action(self, series: PolyTrunc, v: GradedVector) -> GradedVector:
-        """Contraction action on the S(g) leg (the Todd side of the square)."""
-        out = GradedVector.zero(self.space)
-        for (b, m), c in v.coeffs.items():
-            acted = series_contraction(
-                self.sym, series, GradedVector.basis(self.sym.space, m))
-            for m2, c2 in acted.coeffs.items():
-                out.add_term((b, m2), c * c2)
-        return out
 
 
 def hkr_cochain(tp: PolyVectors, B: DgAlgebra, t_key, coeff=ONE) -> Cochain:
@@ -444,19 +430,16 @@ class DufloContext:
     def pullback_differential(self, e: PullbackElement) -> PullbackElement:
         out = PullbackElement(t=None)
         for (p, r), f in sorted(e.fA.items()):
-            _accumulate(out.fA, (p + 1, r), hoch_d(f, self.a_ops), self.A)
-            dp = hoch_partial(f, self.a_ops)
-            _accumulate(out.fA, (p, r + 1), dp, self.A)
-            _acc_x(out.fX, (p, 0, r), d_ax(f, self.X, self.B),
-                   self.A, self.X, self.B)
+            add_cochain(out.fA, (p + 1, r), hoch_d(f, self.a_ops))
+            add_cochain(out.fA, (p, r + 1), hoch_partial(f, self.a_ops))
+            add_x_part(out.fX, (p, 0, r), d_ax(f, self.X, self.B))
         for (p, q, r), f in sorted(e.fX.items()):
-            _acc_x(out.fX, (p + 1, q, r), d_left(f), self.A, self.X, self.B)
-            _acc_x(out.fX, (p, q + 1, r), d_right(f), self.A, self.X, self.B)
-            _acc_x(out.fX, (p, q, r + 1), del_x(f), self.A, self.X, self.B)
+            add_x_part(out.fX, (p + 1, q, r), d_left(f))
+            add_x_part(out.fX, (p, q + 1, r), d_right(f))
+            add_x_part(out.fX, (p, q, r + 1), del_x(f))
         if e.t is not None and e.t:
             for (q, r), c in hkr(self.tp, self.B, e.t).items():
-                _acc_x(out.fX, (0, q, r), d_xb(c, self.A, self.X),
-                       self.A, self.X, self.B)
+                add_x_part(out.fX, (0, q, r), d_xb(c, self.A, self.X))
             out.t = self.tp.d_t()(e.t)
         else:
             out.t = GradedVector.zero(self.tp.space)
@@ -558,24 +541,6 @@ class DufloContext:
         he = self.homotopy(e)
         rhs = h_de + self.ce_of(he)
         return lhs - rhs
-
-
-def _accumulate(table, key, part, algebra):
-    from .hochschild import Derived
-    if key not in table:
-        table[key] = part
-        return
-    prev = table[key]
-    table[key] = Derived(algebra, prev.module, key[0], key[1],
-                         lambda w, a=prev, b=part: a.value(w) + b.value(w),
-                         label="sum")
-
-
-def _acc_x(table, key, part, A, X, B):
-    if key not in table:
-        table[key] = part
-        return
-    table[key] = x_sum([table[key], part], A, X, B, *key, label="sum")
 
 
 # ---------------------------------------------------------------------------
@@ -693,10 +658,6 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
 
     fB_cols = {}
 
-    def fb_cochain(q):
-        cols = {bw: v for bw, v in fB_cols.get(q, {}).items() if v}
-        return Cochain(ctx.B, ctx.B, q, -q, columns=cols, label="fB%d" % q)
-
     def word_order(words):
         return sorted(words, key=lambda w: (-sum(len(b) for b in w), w))
 
@@ -810,22 +771,13 @@ def lift_residuals(ctx: DufloContext, u0: GradedVector, components: dict,
     a_letters = a_letters or [k for k in ctx.ug.space.keys if len(k) <= 1]
     fA = Cochain(ctx.A, ctx.A, 0, 0, columns={(): u0}, label="u0")
     pieces = {}
-
-    def acc(key, part):
-        if key in pieces:
-            prev = pieces[key]
-            pieces[key] = x_sum([prev, part], ctx.A, ctx.X, ctx.B, *key,
-                                label="acc")
-        else:
-            pieces[key] = part
-
-    acc((0, 0, 0), d_ax(fA, ctx.X, ctx.B))
+    add_x_part(pieces, (0, 0, 0), d_ax(fA, ctx.X, ctx.B))
     for q, comp in components.items():
-        acc((1, q, -1 - q), d_left(comp))
-        acc((0, q + 1, -1 - q), d_right(comp))
-        acc((0, q, -q), del_x(comp))
+        add_x_part(pieces, (1, q, -1 - q), d_left(comp))
+        add_x_part(pieces, (0, q + 1, -1 - q), d_right(comp))
+        add_x_part(pieces, (0, q, -q), del_x(comp))
     for (q, rB), f in fB.items():
-        acc((0, q, rB), d_xb(f, ctx.A, ctx.X))
+        add_x_part(pieces, (0, q, rB), d_xb(f, ctx.A, ctx.X))
 
     bad = []
     for (p, q, r), piece in sorted(pieces.items()):

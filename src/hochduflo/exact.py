@@ -234,6 +234,16 @@ class GradedVector:
         return " + ".join(bits)
 
 
+def bilinear(mul_keys, space: BasisSpace, v: GradedVector,
+             w: GradedVector) -> GradedVector:
+    """The product of two vectors, extended bilinearly from ``mul_keys``."""
+    out = GradedVector.zero(space)
+    for k1, c1 in v.coeffs.items():
+        for k2, c2 in w.coeffs.items():
+            out.add_inplace(mul_keys(k1, k2), c1 * c2)
+    return out
+
+
 class GradedMap:
     """Degree-``shift`` sparse linear map stored columnwise.
 
@@ -587,28 +597,6 @@ def vectors_to_rows(vectors, keys):
             row[index[key]] = c
         rows.append(row)
     return rows
-
-
-def in_span(vectors, target: GradedVector) -> bool:
-    """Exact membership of ``target`` in the rational span of ``vectors``."""
-    keys = sorted({k for v in vectors for k in v.coeffs}
-                  | set(target.coeffs), key=repr)
-    if not keys:
-        return True
-    cols = vectors_to_rows(vectors, keys)          # one row per vector
-    mat = [[cols[v][i] for v in range(len(vectors))] for i in range(len(keys))]
-    rhs = [target.coeff(k) for k in keys]
-    return rows_solve(mat, rhs) is not None
-
-
-def span_solve(vectors, target: GradedVector):
-    """Coefficients expressing ``target`` in ``vectors`` (or None)."""
-    keys = sorted({k for v in vectors for k in v.coeffs}
-                  | set(target.coeffs), key=repr)
-    cols = vectors_to_rows(vectors, keys)
-    mat = [[cols[v][i] for v in range(len(vectors))] for i in range(len(keys))]
-    rhs = [target.coeff(k) for k in keys]
-    return rows_solve(mat, rhs)
 
 
 def cohomology_slice(d_in: GradedMap, d_out: GradedMap, degree: int):

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from .signs import sgn
 from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
-                    StructuralError, WindowOverflow, as_q, cohomology_slice,
-                    derive_seed, random_vector)
+                    StructuralError, WindowOverflow, as_q, bilinear,
+                    cohomology_slice, derive_seed, random_vector)
 
 
 class TruncationWindow:
@@ -61,11 +61,7 @@ class DgAlgebra:
         return GradedVector.basis(self.space, self.unit_key)
 
     def mul(self, v: GradedVector, w: GradedVector) -> GradedVector:
-        out = GradedVector.zero(self.space)
-        for k1, c1 in v.coeffs.items():
-            for k2, c2 in w.coeffs.items():
-                out.add_inplace(self.mul_keys(k1, k2), c1 * c2)
-        return out
+        return bilinear(self.mul_keys, self.space, v, w)
 
     def d_key(self, key) -> GradedVector:
         if self.differential_key is None:
@@ -80,19 +76,6 @@ class DgAlgebra:
 
     def word_degree(self, word) -> int:
         return sum(self.space.degree[k] for k in word)
-
-    def is_associative_on(self, keys=None) -> bool:
-        keys = keys or self.space.keys
-        for a in keys:
-            for b in keys:
-                ab = self.mul_keys(a, b)
-                for c in keys:
-                    lhs = self.mul(ab, GradedVector.basis(self.space, c))
-                    rhs = self.mul(GradedVector.basis(self.space, a),
-                                   self.mul_keys(b, c))
-                    if lhs != rhs:
-                        return False
-        return True
 
 
 def ground_field() -> DgAlgebra:
@@ -113,11 +96,61 @@ def ug_algebra(ug) -> DgAlgebra:
     return DgAlgebra(ug.space, (), ug.mul_keys, None, name=ug.space.name)
 
 
-def sym_trunc_algebra(sym) -> DgAlgebra:
-    return DgAlgebra(sym.space, (), sym.mul_keys, None, name=sym.space.name)
+class VectorValues:
+    """GradedVector values in ``space``.
+
+    ``zero``, ``add`` and ``scale`` are the value arithmetic of the
+    value-module protocol that :func:`hoch_d` is written against; a vector
+    carries no degree, so ``zero`` ignores it.  ``scale`` returns c v as a
+    vector of ``space`` even when v was built in an equal copy of it (the
+    polyvector cochains of duflo.hkr build theirs in their own dual odd
+    algebra), so every value of a differential lives in its own module.
+    """
+
+    def __init__(self, space: BasisSpace):
+        self.space = space
+
+    def zero(self, degree) -> GradedVector:
+        return GradedVector.zero(self.space)
+
+    @staticmethod
+    def add(v: GradedVector, w: GradedVector) -> GradedVector:
+        return v + w
+
+    def scale(self, v: GradedVector, c) -> GradedVector:
+        return GradedVector.zero(self.space).add_inplace(v, c)
 
 
-class Cochain:
+def value_sum(values, terms, degree):
+    """The sum of a list of values; the zero of ``degree`` when it is empty."""
+    if not terms:
+        return values.zero(degree)
+    out = terms[0]
+    for term in terms[1:]:
+        out = values.add(out, term)
+    return out
+
+
+class WordCochain:
+    """What every cochain on words of basis letters of ``algebra`` shares.
+
+    A subclass carries the arity ``p``, the degree ``r``, a ``label`` and
+    ``values``, the arithmetic of its values (``zero(degree)``, ``add``,
+    ``scale``).  It defines ``value(word)`` and ``derived(p, r, fn,
+    label)``, the cochain of the same kind whose values are ``fn(word)``.
+    """
+
+    def value_with_slot(self, before, vec: GradedVector, after):
+        """Multilinear evaluation with one vector-valued slot."""
+        V = self.values
+        before, after = tuple(before), tuple(after)
+        terms = [V.scale(self.value(before + (key,) + after), c)
+                 for key, c in vec.coeffs.items()]
+        return value_sum(V, terms, self.r + self.algebra.word_degree(before)
+                         + self.algebra.word_degree(after))
+
+
+class Cochain(WordCochain):
     """Hochschild cochain of bidegree (p, r) over A with values in ``module``.
 
     ``module`` only needs a ``space`` attribute here; bimodule actions enter
@@ -131,6 +164,7 @@ class Cochain:
                  label=""):
         self.algebra = algebra
         self.module = module
+        self.values = VectorValues(module.space)
         self.p = p
         self.r = r
         self.columns = dict(columns or {})
@@ -160,19 +194,8 @@ class Cochain:
                                 if k in self.value_keys})
         return vec
 
-    def value_with_slot(self, before, vec: GradedVector, after) -> GradedVector:
-        """Multilinear evaluation with one vector-valued slot."""
-        out = GradedVector.zero(self.module.space)
-        for key, c in vec.coeffs.items():
-            out.add_inplace(self.value(tuple(before) + (key,) + tuple(after)), c)
-        return out
-
-    def store(self, words):
-        """Materialize on a family of words (sparse matrix form)."""
-        cols = {tuple(w): self.value(w) for w in words}
-        return Cochain(self.algebra, self.module, self.p, self.r,
-                       columns={w: v for w, v in cols.items() if v},
-                       label=self.label + "#stored")
+    def derived(self, p, r, fn, label) -> "Derived":
+        return Derived(self.algebra, self.module, p, r, fn, label=label)
 
 
 class Derived(Cochain):
@@ -199,6 +222,16 @@ class ZeroCochain(Cochain):
         return GradedVector.zero(self.module.space)
 
 
+def add_cochain(table, key, part: Cochain):
+    """``table[key] += part`` for vector-valued cochains keyed by (p, r)."""
+    prev = table.get(key)
+    if prev is None:
+        table[key] = part
+        return
+    table[key] = Derived(prev.algebra, prev.module, key[0], key[1],
+                         lambda w: prev.value(w) + part.value(w), label="sum")
+
+
 def unit_cochain(algebra: DgAlgebra) -> Cochain:
     return Cochain(algebra, algebra, 0, 0, columns={(): algebra.unit()},
                    label="1")
@@ -220,17 +253,17 @@ def differential_cochain(algebra: DgAlgebra) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
-# operator evaluators (bimodule case: module M with left/right A-actions)
+# the Hochschild differential, for every kind of value
 # ---------------------------------------------------------------------------
 
-class BimoduleOps:
+class BimoduleOps(VectorValues):
     """Left/right actions and differential of an A-A-bimodule presentation."""
 
-    def __init__(self, space, lmul, rmul, differential=None):
-        self.space = space
+    def __init__(self, space, lmul, rmul, d):
+        super().__init__(space)
         self.lmul = lmul          # (a_key, m_vec) -> m_vec
         self.rmul = rmul          # (m_vec, a_key) -> m_vec
-        self.differential = differential   # m_vec -> m_vec
+        self.d = d                # m_vec -> m_vec
 
     @classmethod
     def of_algebra(cls, algebra: DgAlgebra):
@@ -243,60 +276,64 @@ class BimoduleOps:
         return cls(algebra.space, lmul, rmul, algebra.d_vec)
 
 
-def hoch_d(f: Cochain, bimod: BimoduleOps) -> Cochain:
+# The value-module protocol: ``ops`` holds the values of a cochain f, with
+# ``zero(degree)``, ``add(m1, m2)`` and ``scale(m, c)`` for their arithmetic,
+# ``lmul(a_key, m)`` and ``rmul(m, a_key)`` for the actions of a basis letter
+# and ``d(m)`` for the differential.  It is met by BimoduleOps (vector
+# values), trio.BLinearEnds and trio.ALinearEnds (End(X) values) and
+# keller.ModuleWithHomotopy (the acyclic modules of the tail bound).  A
+# zero vector is falsy and contributes nothing, so it is skipped; End(X)
+# maps and module elements are always truthy, so their actions always run
+# and the window refusals recorded in a map's coverage propagate.
+
+def hoch_d(f: WordCochain, ops) -> WordCochain:
     """The Hochschild differential d_H(f), arity p+1, same r."""
     A = f.algebra
     p, r = f.p, f.r
 
     def fn(word):
-        out = GradedVector.zero(f.module.space)
+        terms = []
         a0 = word[0]
         head = f.value(word[1:])
         if head:
             sign = sgn((p + r - 1) + r * A.space.degree[a0])
-            out.add_inplace(bimod.lmul(a0, head), sign)
+            terms.append(ops.scale(ops.lmul(a0, head), sign))
         for i in range(p):
             prod = A.mul_keys(word[i], word[i + 1])
             if prod:
-                sign = sgn(p + r + i)
-                out.add_inplace(
-                    f.value_with_slot(word[:i], prod, word[i + 2:]), sign)
+                terms.append(ops.scale(
+                    f.value_with_slot(word[:i], prod, word[i + 2:]),
+                    sgn(p + r + i)))
         tail = f.value(word[:-1])
         if tail:
-            out.add_inplace(bimod.rmul(tail, word[-1]), sgn(r))
-        return out
+            terms.append(ops.scale(ops.rmul(tail, word[-1]), sgn(r)))
+        return value_sum(ops, terms, r + A.word_degree(word))
 
-    return Derived(A, f.module, p + 1, r, fn, label="dH(%s)" % f.label)
+    return f.derived(p + 1, r, fn, "dH(%s)" % f.label)
 
 
-def hoch_partial(f: Cochain, bimod: BimoduleOps) -> Cochain:
+def hoch_partial(f: WordCochain, ops) -> WordCochain:
     """The differential induced by d_A and d_M, same arity, r+1."""
     A = f.algebra
     p, r = f.p, f.r
 
     def fn(word):
-        out = GradedVector.zero(f.module.space)
-        if bimod.differential is not None:
-            head = f.value(word)
-            if head:
-                out.add_inplace(bimod.differential(head))
+        terms = []
+        head = f.value(word)
+        if head:
+            terms.append(ops.d(head))
         if A.differential_key is not None:
             acc = 0
             for i in range(p):
                 da = A.d_key(word[i])
                 if da:
-                    sign = sgn(r + acc)
-                    out.add_inplace(
-                        f.value_with_slot(word[:i], da, word[i + 1:]), -sign)
+                    terms.append(ops.scale(
+                        f.value_with_slot(word[:i], da, word[i + 1:]),
+                        -sgn(r + acc)))
                 acc += A.space.degree[word[i]]
-        return out
+        return value_sum(ops, terms, r + 1 + A.word_degree(word))
 
-    return Derived(A, f.module, p, r + 1, fn, label="del(%s)" % f.label)
-
-
-def hoch_total_d(f: Cochain, bimod: BimoduleOps):
-    """d_H + partial, returned as the pair of components."""
-    return hoch_d(f, bimod), hoch_partial(f, bimod)
+    return f.derived(p, r + 1, fn, "del(%s)" % f.label)
 
 
 def cup(f: Cochain, g: Cochain) -> Cochain:
@@ -459,8 +496,7 @@ def total_differential(algebra: DgAlgebra, bimod: BimoduleOps,
         for ap in algebra.space.keys:
             add((p + 1, word + (ap,)), bimod.rmul(vvec, ap), sgn(r))
         # partial: value differential
-        if bimod.differential is not None:
-            add((p, word), bimod.differential(vvec), 1)
+        add((p, word), bimod.d(vvec), 1)
         # partial: letter differentials through the preimage table
         for i in range(p):
             for (a, c) in d_pre.get(word[i], ()):

@@ -25,7 +25,8 @@ from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     random_vector, rows_solve, kernel_basis)
 from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, contract,
                      cocontract, pair_dual_vec)
-from .hochschild import DgAlgebra, Cochain, dual_odd_algebra, ug_algebra
+from .hochschild import (DgAlgebra, WordCochain, dual_odd_algebra, hoch_d,
+                         ug_algebra)
 from .trio import Bimodule, XCochain, XDerived, EndCochain
 
 
@@ -83,14 +84,6 @@ class LieTriple:
         for ykey, c in bracket.items():
             out.add_term((u, ykey), c)
         return out
-
-    def x_basis(self, pbw_bound=None):
-        if pbw_bound is None:
-            return self.x_space.keys
-        return tuple(k for k in self.x_space.keys if len(k[0]) <= pbw_bound)
-
-    def x_unit(self):
-        return GradedVector.basis(self.x_space, ((), ()))
 
     # -- actions and the augmentation ---------------------------------------
 
@@ -223,30 +216,6 @@ class LieTriple:
             return out.scale(sgn(r + 1 + q))
 
         return XDerived(f.A, f.X, f.B, p, q, r, fn, label="hL(%s)" % f.label)
-
-    def blinear_projection(self, f: XCochain) -> XCochain:
-        """The right-linearization retraction on B-arity-zero cochains.
-
-        P(f)(u (x) x) = (-1)^{d-|x|} f(u (x) omega) |_ (tau _| x); P is the
-        complement of h_R d_R on the zeroth column.
-        """
-        if f.q != 0:
-            raise StructuralError("retraction lives on B-arity zero")
-        d = self.g.dimension
-        omega, tau = self.top_form_pair()
-
-        def fn(aw, xk, bw):
-            u, x = xk
-            tx = cocontract(self.dual,
-                            GradedVector.basis(self.dual.space, tau), x)
-            base = f.value(aw, (u, omega), ())
-            out = GradedVector.zero(self.x_space)
-            for bk, c in tx.items():
-                out.add_inplace(self.X.rmul(base, bk), c)
-            return out.scale(sgn(d + len(x)))
-
-        return XDerived(f.A, f.X, f.B, f.p, 0, f.r, fn,
-                        label="P(%s)" % f.label)
 
     # -- random structured endomorphism values ------------------------------
 
@@ -501,8 +470,10 @@ class AugmentationCone:
 class ModuleWithHomotopy:
     """Duck-typed acyclic bimodule: values with actions and a homotopy.
 
-    Required piece: ``zero()``, ``add(m1, m2)``, ``scale(m, c)``,
-    ``is_zero(m)``, ``d(m)``, ``h(m)``, ``lmul(a_key, m)``, ``rmul(m, a_key)``.
+    Required piece: ``zero(degree)``, ``add(m1, m2)``, ``scale(m, c)``,
+    ``is_zero(m)``, ``d(m)``, ``h(m)``, ``lmul(a_key, m)``, ``rmul(m, a_key)``
+    -- the value-module protocol of :func:`hochschild.hoch_d` plus the
+    homotopy.
     """
 
     def __init__(self, **ops):
@@ -511,14 +482,15 @@ class ModuleWithHomotopy:
             setattr(self, name, ops[name])
 
 
-class ModuleCochain:
-    """Hom(A^{(x)p}, M) cochain with duck-typed module values."""
+class ModuleCochain(WordCochain):
+    """Hom(A^{(x)p}, M) cochain of degree r with duck-typed module values."""
 
     def __init__(self, algebra: DgAlgebra, module: ModuleWithHomotopy,
-                 p: int, fn, label=""):
+                 p: int, fn, label="", r=0):
         self.algebra = algebra
-        self.module = module
+        self.module = self.values = module
         self.p = p
+        self.r = r
         self._fn = fn
         self.label = label
 
@@ -528,65 +500,29 @@ class ModuleCochain:
             raise StructuralError("arity mismatch in %s" % self.label)
         return self._fn(word)
 
-    def value_with_slot(self, before, vec, after):
-        out = self.module.zero()
-        for k, c in vec.coeffs.items():
-            out = self.module.add(out, self.module.scale(
-                self.value(tuple(before) + (k,) + tuple(after)), c))
-        return out
+    def derived(self, p, r, fn, label) -> "ModuleCochain":
+        return ModuleCochain(self.algebra, self.module, p, fn, label=label,
+                             r=r)
 
 
-def module_hoch_d(f: ModuleCochain, r: int) -> ModuleCochain:
-    """d_H for module-valued cochains over a degree-zero algebra."""
-    A = f.algebra
-    M = f.module
-    p = f.p
-
-    def fn(word):
-        out = M.zero()
-        head = f.value(word[1:])
-        out = M.add(out, M.scale(M.lmul(word[0], head), sgn(p + r - 1)))
-        for i in range(p):
-            prod = A.mul_keys(word[i], word[i + 1])
-            if prod:
-                out = M.add(out, M.scale(
-                    f.value_with_slot(word[:i], prod, word[i + 2:]),
-                    sgn(p + r + i)))
-        out = M.add(out, M.scale(M.rmul(f.value(word[:-1]), word[-1]), sgn(r)))
-        return out
-
-    return ModuleCochain(A, M, p + 1, fn, label="dH(%s)" % f.label)
-
-
-def module_hoch_partial(f: ModuleCochain) -> ModuleCochain:
-    """The value-differential part (the algebra here has d = 0)."""
-    M = f.module
-
-    def fn(word):
-        return M.d(f.value(word))
-
-    return ModuleCochain(f.algebra, M, f.p, fn, label="del(%s)" % f.label)
-
-
-def module_H(f: ModuleCochain) -> ModuleCochain:
+def module_H(f: ModuleCochain, r: int) -> ModuleCochain:
+    """H f for f of degree r: the homotopy applied valuewise, degree r-1."""
     M = f.module
 
     def fn(word):
         return M.h(f.value(word))
 
-    return ModuleCochain(f.algebra, M, f.p, fn, label="H(%s)" % f.label)
+    return ModuleCochain(f.algebra, M, f.p, fn, label="H(%s)" % f.label,
+                         r=r - 1)
 
 
 def frak_h_sequence(f: ModuleCochain, r: int, k_max: int):
     """The operators (H d_H)^k H f for k = 0..k_max, lazily chained."""
-    out = []
-    current = module_H(f)
-    degree = r - 1
-    out.append((current, degree))
-    for k in range(1, k_max + 1):
-        current = module_H(module_hoch_d(current, degree))
-        degree -= 1
-        out.append((current, degree))
+    current = module_H(f, r)
+    out = [(current, current.r)]
+    for _ in range(k_max):
+        current = module_H(hoch_d(current, current.module), current.r)
+        out.append((current, current.r))
     return out
 
 
@@ -628,7 +564,8 @@ class AbelianActionCone:
         self.dom_cap = dom_cap
         self.val_cap = val_cap
 
-    def zero(self):
+    def zero(self, degree=0):
+        """The zero element; cone elements carry no degree of their own."""
         return (GradedVector.zero(self.val.space),
                 GradedMap(self.dom.space, self.val.space, 0),
                 GradedMap(self.dom.space, self.val.space, 0))

@@ -19,7 +19,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
-                    StructuralError, WindowOverflow, as_q, kernel_basis)
+                    StructuralError, WindowOverflow, as_q, bilinear,
+                    kernel_basis)
 from .series import PolyTrunc
 from .signs import sgn, koszul_sign, sort_monomial, unshuffles, unshuffle_sign, \
     tensor_interleave_sign
@@ -63,18 +64,6 @@ class LieAlgebra:
         if i < j:
             return dict(self.table.get((i, j), {}))
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
-
-    def bracket_of_vectors(self, x: dict, y: dict) -> dict:
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                for k, c in self.bracket(i, j).items():
-                    s = out.get(k, ZERO) + xi * yj * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
 
     def validate(self):
         """Check antisymmetry (structural) and the Jacobi identity exactly."""
@@ -240,21 +229,10 @@ class UgWindow:
         return self.normal_order(tuple(k1) + tuple(k2))
 
     def mul(self, v: GradedVector, w: GradedVector) -> GradedVector:
-        out = GradedVector.zero(self.space)
-        for k1, c1 in v.coeffs.items():
-            for k2, c2 in w.coeffs.items():
-                out.add_inplace(self.mul_keys(k1, k2), c1 * c2)
-        return out
-
-    def counit(self, v: GradedVector) -> Fraction:
-        """Augmentation: coefficient of the empty word."""
-        return v.coeff(())
+        return bilinear(self.mul_keys, self.space, v, w)
 
     def differential_key(self, key) -> GradedVector:
         return GradedVector.zero(self.space)
-
-    def keys_up_to(self, bound):
-        return tuple(k for k in self.space.keys if len(k) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +262,7 @@ class OddSym:
         return GradedVector.basis(self.space, key, sign)
 
     def mul(self, v, w):
-        out = GradedVector.zero(self.space)
-        for k1, c1 in v.coeffs.items():
-            for k2, c2 in w.coeffs.items():
-                out.add_inplace(self.mul_keys(k1, k2), c1 * c2)
-        return out
+        return bilinear(self.mul_keys, self.space, v, w)
 
     def coderivation_bracket_key(self, key) -> GradedVector:
         """The bracket coderivation on S(g[1]) on a basis monomial.
@@ -358,11 +332,7 @@ class DualOdd:
         return GradedVector.basis(self.space, key, sign)
 
     def mul(self, v, w):
-        out = GradedVector.zero(self.space)
-        for k1, c1 in v.coeffs.items():
-            for k2, c2 in w.coeffs.items():
-                out.add_inplace(self.mul_keys(k1, k2), c1 * c2)
-        return out
+        return bilinear(self.mul_keys, self.space, v, w)
 
     def dual_key_of(self, s_key):
         """Key of the dual monomial of an S(g[1]) basis monomial."""
@@ -452,12 +422,6 @@ def tensor_pair_vec_dual(odd_keys, dual_keys) -> Fraction:
     base = lambda i, j: -ONE if i == j else ZERO
     return _tensor_pair(tuple(odd_keys), tuple(dual_keys),
                         [-1] * len(odd_keys), [1] * len(dual_keys), base)
-
-
-def tensor_pair_dual_vec(dual_keys, odd_keys) -> Fraction:
-    base = lambda i, j: ONE if i == j else ZERO
-    return _tensor_pair(tuple(dual_keys), tuple(odd_keys),
-                        [1] * len(dual_keys), [-1] * len(odd_keys), base)
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +526,7 @@ class SymPoly:
         return GradedVector.basis(self.space, key)
 
     def mul(self, v, w):
-        out = GradedVector.zero(self.space)
-        for k1, c1 in v.coeffs.items():
-            for k2, c2 in w.coeffs.items():
-                out.add_inplace(self.mul_keys(k1, k2), c1 * c2)
-        return out
+        return bilinear(self.mul_keys, self.space, v, w)
 
     def adjoint_action(self, i: int, v: GradedVector) -> GradedVector:
         """e_i acting as the derivation extending ad_{e_i}."""
@@ -687,6 +647,30 @@ def ce_differential(odd: OddSym, module: CeModule, f: GradedMap) -> GradedMap:
                 col.add_inplace(val, -(sgn(r)) * c)
         out.set_column(key, col, check=False)
     return out
+
+
+def ce_hom_matrix(odd: OddSym, module: CeModule, value_keys, k: int):
+    """d_CE from arity k to k+1 on a window of Hom(S(g[1]), M), as rows.
+
+    Coordinates are pairs (y, u) of an odd monomial of length k (resp. k+1)
+    and a key of ``value_keys``; images leaving the window are dropped.
+    Returns ``(rows, source coordinates)``.
+    """
+    def hom_basis(n):
+        return [(y, u) for y in odd.space.keys if len(y) == n
+                for u in value_keys]
+
+    src = hom_basis(k)
+    tidx = {t: i for i, t in enumerate(hom_basis(k + 1))}
+    rows = [[ZERO] * len(src) for _ in tidx]
+    for j, (y, u) in enumerate(src):
+        f = GradedMap(odd.space, module.space, k, columns={
+            y: GradedVector.basis(module.space, u)})
+        for y2, col in ce_differential(odd, module, f).columns.items():
+            for u2, c in col.coeffs.items():
+                if (y2, u2) in tidx:
+                    rows[tidx[(y2, u2)]][j] = c
+    return rows, src
 
 
 def invariants_basis(g: LieAlgebra, module: CeModule, degree: int = 0):

@@ -169,9 +169,6 @@ class PolyTrunc:
         """Homogeneous degree-k part."""
         return self._wrap({key: c for key, c in self.coeffs.items() if len(key) == k})
 
-    def top_order(self):
-        return max((len(k) for k in self.coeffs), default=0)
-
     def _check(self, other):
         if self.dim != other.dim or self.order != other.order:
             raise StructuralError("mismatched truncated polynomial rings")

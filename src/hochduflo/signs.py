@@ -8,7 +8,7 @@ single normalization point prevents sign drift between subsystems.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 
 def perm_parity(perm) -> int:
@@ -101,12 +101,6 @@ def tensor_interleave_sign(first_degrees, second_degrees) -> int:
         for j in range(i + 1, p):
             exponent += second_degrees[i] * first_degrees[j]
     return -1 if exponent % 2 else 1
-
-
-def all_permutations(n: int):
-    """Permutations of range(n) as tuples, with their plain parities."""
-    for perm in permutations(range(n)):
-        yield perm, perm_parity(perm)
 
 
 def sgn(exponent: int) -> int:

@@ -15,10 +15,12 @@ from fractions import Fraction
 from .signs import sgn
 from .exact import (Q, ZERO, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, derive_seed,
-                    random_vector, rows_solve, cohomology_slice)
+                    random_vector, rows_nullspace, rows_rank, rows_solve,
+                    cohomology_slice)
 from .liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
                      ce_module_sym, ce_module_trivial, ce_module_ug,
-                     ce_differential, invariants_basis, pbw_map)
+                     ce_differential, ce_hom_matrix, invariants_basis,
+                     pbw_map)
 from .hochschild import (BimoduleOps, Cochain, DgAlgebra, cup, circ,
                          dual_odd_algebra, gerstenhaber, ground_field,
                          hoch_d, hoch_partial, identity_cochain, interior_hh,
@@ -26,10 +28,11 @@ from .hochschild import (BimoduleOps, Cochain, DgAlgebra, cup, circ,
                          random_cochain, total_cochain_space,
                          total_differential, unit_cochain, ug_algebra,
                          words_of)
-from .trio import (Bimodule, EndCochain, TrioCochain, XCochain, d_ax, d_left,
-                   d_right, d_xb, del_x, embed_trio, phi_embed, project_a,
-                   project_b, psi_embed, random_x_cochain, rho_a_star,
-                   rho_b_star, semidirect_algebra, trio_differential)
+from .trio import (ALinearEnds, BLinearEnds, Bimodule, EndCochain,
+                   TrioCochain, XCochain, d_ax, d_left, d_right, d_xb, del_x,
+                   embed_trio, phi_embed, project_a, project_b, psi_embed,
+                   random_x_cochain, rho_a_star, rho_b_star,
+                   semidirect_algebra, trio_differential)
 from .keller import (AbelianActionCone, AugmentationCone, LieTriple,
                      ModuleCochain, frak_h_vanishing_index,
                      kernel_dimension_match, row_exactness_certificate)
@@ -537,7 +540,8 @@ def suite_phi_psi(g: LieAlgebra, trials=50, seed=0, pbw=6):
     report = SuiteReport("phi-psi", {"lie": g.name, "trials": trials,
                                      "seed": seed, "pbw": pbw})
     triple = LieTriple(g, pbw)
-    from .trio import end_hoch_d, end_hoch_partial
+    a_ends = BLinearEnds(triple.A, triple.X)
+    b_ends = ALinearEnds(triple.B, triple.X)
     a_pool = [k for k in triple.ug.space.keys if len(k) <= 1]
     x_pool = [k for k in triple.x_space.keys if len(k[0]) <= 2]
 
@@ -579,8 +583,8 @@ def suite_phi_psi(g: LieAlgebra, trials=50, seed=0, pbw=6):
                     0, derive_seed("pc", seed, t, w), 2)
             f = EndCochain(triple.A, triple.X, p, 0, columns=cols, label="f")
             phi_f = phi_embed(f, triple.B)
-            dh = end_hoch_d(f, "B-linear")
-            dp = end_hoch_partial(f)
+            dh = hoch_d(f, a_ends)
+            dp = hoch_partial(f, a_ends)
             for _ in range(6):
                 xk = rng.choice(x_pool)
                 aw = words(p + 1, a_pool, rng)
@@ -607,8 +611,8 @@ def suite_phi_psi(g: LieAlgebra, trials=50, seed=0, pbw=6):
                     wdeg, derive_seed("qc", seed, t, w), 2)
             f = EndCochain(triple.B, triple.X, q, 0, columns=cols, label="g")
             psi_f = psi_embed(f, triple.A)
-            dh = end_hoch_d(f, "A-linear")
-            dp = end_hoch_partial(f)
+            dh = hoch_d(f, b_ends)
+            dp = hoch_partial(f, b_ends)
             for _ in range(6):
                 xk = rng.choice(x_pool)
                 bw = words(q + 1, list(triple.dual.space.keys), rng)
@@ -1042,37 +1046,12 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
         return got is False, None, None
 
     def check_h1_dimensions():
-        # degree-one cohomology of both routes' targets on the window
-        dual = ctx.dual
-        odd = ctx.odd
-        d_g = dual.differential(odd)
+        # degree-one cohomology of both routes' targets on the window:
+        # CE with Ug values, dims in degrees 0 and 1 on a PBW slice
         mod = ce_module_ug(ctx.ug)
-        # CE with Ug values: dims in degrees 0 and 1 on a PBW slice
-        def ce_map(shift):
-            out = GradedMap(odd.space, ctx.ug.space, shift)
-            return out
-        # build d_CE matrices on hom windows
-        def hom_basis(k):
-            return [(y, u) for y in odd.space.keys if len(y) == k
-                    for u in ctx.ug.space.keys if len(u) <= 2]
-        def d_matrix(k):
-            src = hom_basis(k)
-            tgt = hom_basis(k + 1)
-            tidx = {t: i for i, t in enumerate(tgt)}
-            rows = [[ZERO] * len(src) for _ in tgt]
-            for j, (y, u) in enumerate(src):
-                f = GradedMap(odd.space, ctx.ug.space, k, columns={
-                    y: GradedVector.basis(ctx.ug.space, u)})
-                df = ce_differential(odd, mod, f)
-                for y2, col in df.columns.items():
-                    for u2, c in col.coeffs.items():
-                        key = (y2, u2)
-                        if key in tidx:
-                            rows[tidx[key]][j] = c
-            return rows, src, tgt
-        from .exact import rows_nullspace, rows_rank
-        r0, src0, _ = d_matrix(0)
-        r1, src1, _ = d_matrix(1)
+        value_keys = [u for u in ctx.ug.space.keys if len(u) <= 2]
+        r0, _src0 = ce_hom_matrix(ctx.odd, mod, value_keys, 0)
+        r1, src1 = ce_hom_matrix(ctx.odd, mod, value_keys, 1)
         kernel1 = len(rows_nullspace(r1, len(src1))) if src1 else 0
         rank0 = rows_rank(r0) if r0 else 0
         h1 = kernel1 - rank0

@@ -13,7 +13,8 @@ from __future__ import annotations
 from .signs import sgn
 from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     StructuralError, derive_seed, random_vector)
-from .hochschild import Cochain, DgAlgebra
+from .hochschild import (Cochain, DgAlgebra, WordCochain, add_cochain,
+                         hoch_d, hoch_partial)
 
 
 class Bimodule:
@@ -188,21 +189,15 @@ class XDerived(XCochain):
         return self._fn(aw, xk, bw)
 
 
-class XZero(XCochain):
-    def value(self, aw, xk, bw):
-        return GradedVector.zero(self.X.space)
-
-
-def x_sum(parts, A, X, B, p, q, r, label="sum"):
-    parts = [f for f in parts if not isinstance(f, XZero)]
-
-    def fn(aw, xk, bw):
-        out = GradedVector.zero(X.space)
-        for f in parts:
-            out.add_inplace(f.value(aw, xk, bw))
-        return out
-
-    return XDerived(A, X, B, p, q, r, fn, label=label)
+def add_x_part(table, key, part: XCochain):
+    """``table[key] += part`` for X-part cochains keyed by (p, q, r)."""
+    prev = table.get(key)
+    if prev is None:
+        table[key] = part
+        return
+    table[key] = XDerived(part.A, part.X, part.B, *key,
+                          lambda aw, xk, bw: prev.value(aw, xk, bw)
+                          + part.value(aw, xk, bw), label="sum")
 
 
 def random_x_cochain(A, X, B, p, q, r, seed, a_letters=None, x_letters=None,
@@ -330,11 +325,6 @@ def del_x(fX: XCochain) -> XCochain:
     return XDerived(A, X, B, p, q, r + 1, fn, label="delX(%s)" % fX.label)
 
 
-def d_x_total(fX: XCochain):
-    """All three X-part components of the trio differential."""
-    return d_left(fX), d_right(fX), del_x(fX)
-
-
 # ---------------------------------------------------------------------------
 # trio cochains and the full differential
 # ---------------------------------------------------------------------------
@@ -362,46 +352,20 @@ def trio_differential(t: TrioCochain, A: DgAlgebra, X: Bimodule,
     ``a_ops`` / ``b_ops`` are the BimoduleOps of A and B acting on
     themselves (for the pure Hochschild parts).
     """
-    from .hochschild import hoch_d, hoch_partial
     out = TrioCochain()
-
-    def add_x(key, part):
-        if key in out.fX:
-            prev = out.fX[key]
-            out.fX[key] = x_sum([prev, part], A, X, B, *key, label="dsum")
-        else:
-            out.fX[key] = part
-
     for (p, r), f in sorted(t.fA.items()):
-        dh = hoch_d(f, a_ops)
-        _add_cochain(out.fA, (p + 1, r), dh, A)
-        dp = hoch_partial(f, a_ops)
-        _add_cochain(out.fA, (p, r + 1), dp, A)
-        add_x((p, 0, r), d_ax(f, X, B))
+        add_cochain(out.fA, (p + 1, r), hoch_d(f, a_ops))
+        add_cochain(out.fA, (p, r + 1), hoch_partial(f, a_ops))
+        add_x_part(out.fX, (p, 0, r), d_ax(f, X, B))
     for (q, r), f in sorted(t.fB.items()):
-        dh = hoch_d(f, b_ops)
-        _add_cochain(out.fB, (q + 1, r), dh, B)
-        dp = hoch_partial(f, b_ops)
-        _add_cochain(out.fB, (q, r + 1), dp, B)
-        add_x((0, q, r), d_xb(f, A, X))
+        add_cochain(out.fB, (q + 1, r), hoch_d(f, b_ops))
+        add_cochain(out.fB, (q, r + 1), hoch_partial(f, b_ops))
+        add_x_part(out.fX, (0, q, r), d_xb(f, A, X))
     for (p, q, r), f in sorted(t.fX.items()):
-        add_x((p + 1, q, r), d_left(f))
-        add_x((p, q + 1, r), d_right(f))
-        add_x((p, q, r + 1), del_x(f))
+        add_x_part(out.fX, (p + 1, q, r), d_left(f))
+        add_x_part(out.fX, (p, q + 1, r), d_right(f))
+        add_x_part(out.fX, (p, q, r + 1), del_x(f))
     return out
-
-
-def _add_cochain(table, key, part, algebra):
-    from .hochschild import Derived
-    if key not in table:
-        table[key] = part
-        return
-    prev = table[key]
-
-    def fn(word, prev=prev, part=part):
-        return prev.value(word) + part.value(word)
-
-    table[key] = Derived(algebra, prev.module, key[0], key[1], fn, label="sum")
 
 
 def embed_trio(t: TrioCochain, E: DgAlgebra, arity: int, degree_r: int) -> Cochain:
@@ -475,7 +439,7 @@ def project_b(F: Cochain, B: DgAlgebra, E: DgAlgebra) -> Cochain:
 # endomorphism-valued cochains and the curried embeddings
 # ---------------------------------------------------------------------------
 
-class EndCochain:
+class EndCochain(WordCochain):
     """Hom^r(A^{(x)p}, End(X))-cochain with GradedMap values.
 
     Used for cochains valued in the right-B-linear or left-A-linear
@@ -484,7 +448,8 @@ class EndCochain:
 
     def __init__(self, A: DgAlgebra, X: Bimodule, p: int, r: int,
                  columns=None, label="", fn=None):
-        self.A, self.X = A, X
+        self.algebra, self.X = A, X
+        self.values = EndMaps(X)
         self.p, self.r = p, r
         self.columns = dict(columns or {})
         self.label = label
@@ -499,18 +464,10 @@ class EndCochain:
         got = self.columns.get(word)
         if got is not None:
             return got
-        wdeg = sum(self.A.space.degree[k] for k in word)
-        return GradedMap.zero(self.X.space, self.X.space, self.r + wdeg)
+        return self.values.zero(self.r + self.algebra.word_degree(word))
 
-    def value_with_slot(self, before, vec, after) -> GradedMap:
-        out = None
-        for k, c in vec.coeffs.items():
-            term = self.value(tuple(before) + (k,) + tuple(after)).scale(c)
-            out = term if out is None else out + term
-        if out is None:
-            wdeg = sum(self.A.space.degree[k] for k in tuple(before) + tuple(after))
-            out = GradedMap.zero(self.X.space, self.X.space, self.r + wdeg)
-        return out
+    def derived(self, p, r, fn, label) -> "EndCochain":
+        return EndCochain(self.algebra, self.X, p, r, label=label, fn=fn)
 
 
 def _guarded_end_map(X: Bimodule, shift: int, col_fn, base_covered=None) -> GradedMap:
@@ -534,94 +491,92 @@ def _guarded_end_map(X: Bimodule, shift: int, col_fn, base_covered=None) -> Grad
     return out
 
 
-def end_hoch_d(f: EndCochain, side: str) -> EndCochain:
-    """Hochschild differential of an End(X)-valued cochain over A or B.
+class EndMaps:
+    """End(X): the GradedMaps X -> X, with the differential [d_X, -].
 
-    ``side`` is "B-linear" (A-cochains, bimodule a.phi = lmul, phi.a =
-    precompose lmul) or "A-linear" (B-cochains with the twisted actions).
+    ``zero``, ``add``, ``scale`` and ``d`` of the value-module protocol of
+    :func:`hochschild.hoch_d`; the two subclasses add the actions.
     """
-    A, X = f.A, f.X
-    p, r = f.p, f.r
 
-    def lact(a_key, phi: GradedMap) -> GradedMap:
+    def __init__(self, X: Bimodule):
+        self.X = X
+
+    def zero(self, degree) -> GradedMap:
+        return GradedMap.zero(self.X.space, self.X.space, degree)
+
+    @staticmethod
+    def add(phi: GradedMap, psi: GradedMap) -> GradedMap:
+        return phi + psi
+
+    @staticmethod
+    def scale(phi: GradedMap, c) -> GradedMap:
+        return phi.scale(c)
+
+    def d(self, phi: GradedMap) -> GradedMap:
+        X = self.X
         return _guarded_end_map(
-            X, phi.shift + A.space.degree[a_key],
+            X, phi.shift + 1,
+            lambda k: X.d_vec(phi.column(k))
+            - phi(X.d_key(k)).scale(sgn(phi.shift)))
+
+
+class BLinearEnds(EndMaps):
+    """End(X) as an A-bimodule: a.phi = lmul after phi, phi.a = phi after lmul.
+
+    The values of A-cochains valued in the right-B-linear endomorphisms.
+    """
+
+    def __init__(self, A: DgAlgebra, X: Bimodule):
+        super().__init__(X)
+        self.A = A
+
+    def lmul(self, a_key, phi: GradedMap) -> GradedMap:
+        X = self.X
+        return _guarded_end_map(
+            X, phi.shift + self.A.space.degree[a_key],
             lambda k: X.lmul(a_key, phi.column(k)),
             base_covered=phi.covered)
 
-    def ract(phi: GradedMap, a_key) -> GradedMap:
+    def rmul(self, phi: GradedMap, a_key) -> GradedMap:
+        X = self.X
         return _guarded_end_map(
-            X, phi.shift + A.space.degree[a_key],
+            X, phi.shift + self.A.space.degree[a_key],
             lambda k: phi(X.lmul_key(a_key, k)))
 
-    def lact_b(b_key, phi: GradedMap) -> GradedMap:
+
+class ALinearEnds(EndMaps):
+    """End(X) as a B-bimodule through the twisted right actions.
+
+    The values of B-cochains valued in the left-A-linear endomorphisms.
+    """
+
+    def __init__(self, B: DgAlgebra, X: Bimodule):
+        super().__init__(X)
+        self.B = B
+
+    def lmul(self, b_key, phi: GradedMap) -> GradedMap:
         # (b.phi)(x) = (-1)^{|b|(|phi|+|x|)} phi(x.b)
-        bdeg = A.space.degree[b_key]
+        X = self.X
+        bdeg = self.B.space.degree[b_key]
         return _guarded_end_map(
             X, phi.shift + bdeg,
             lambda k: phi(X.rmul_key(k, b_key)).scale(
                 sgn(bdeg * (phi.shift + X.space.degree[k]))))
 
-    def ract_b(phi: GradedMap, b_key) -> GradedMap:
+    def rmul(self, phi: GradedMap, b_key) -> GradedMap:
         # (phi.b)(x) = (-1)^{|b||x|} phi(x).b
-        bdeg = A.space.degree[b_key]
+        X = self.X
+        bdeg = self.B.space.degree[b_key]
         return _guarded_end_map(
             X, phi.shift + bdeg,
             lambda k: X.rmul(phi.column(k), b_key).scale(
                 sgn(bdeg * X.space.degree[k])),
             base_covered=phi.covered)
 
-    left = lact if side == "B-linear" else lact_b
-    right = ract if side == "B-linear" else ract_b
-
-    def fn(word):
-        out = GradedMap.zero(X.space, X.space,
-                             r + sum(A.space.degree[k] for k in word))
-        a0 = word[0]
-        head = f.value(word[1:])
-        s = sgn((p + r - 1) + r * A.space.degree[a0])
-        out = out + left(a0, head).scale(s)
-        for i in range(p):
-            prod = A.mul_keys(word[i], word[i + 1])
-            if prod:
-                out = out + f.value_with_slot(word[:i], prod, word[i + 2:]) \
-                    .scale(sgn(p + r + i))
-        tail = f.value(word[:-1])
-        out = out + right(tail, word[-1]).scale(sgn(r))
-        return out
-
-    return EndCochain(A, X, p + 1, r, label="dH(%s)" % f.label, fn=fn)
-
-
-def end_hoch_partial(f: EndCochain) -> EndCochain:
-    """The dg-induced differential with d_M = [d_X, -]."""
-    A, X = f.A, f.X
-    p, r = f.p, f.r
-
-    def commutator(phi: GradedMap) -> GradedMap:
-        return _guarded_end_map(
-            X, phi.shift + 1,
-            lambda k: X.d_vec(phi.column(k))
-            - phi(X.d_key(k)).scale(sgn(phi.shift)))
-
-    def fn(word):
-        out = commutator(f.value(word))
-        acc = 0
-        if A.differential_key is not None:
-            for i in range(p):
-                da = A.d_key(word[i])
-                if da:
-                    out = out + f.value_with_slot(word[:i], da, word[i + 1:]) \
-                        .scale(-sgn(r + acc))
-                acc += A.space.degree[word[i]]
-        return out
-
-    return EndCochain(A, X, p, r + 1, label="del(%s)" % f.label, fn=fn)
-
 
 def phi_embed(f: EndCochain, B: DgAlgebra) -> XCochain:
     """Phi: curry an End-valued A-cochain into the X-part, with sign (-1)^r."""
-    A, X = f.A, f.X
+    A, X = f.algebra, f.X
     p, r = f.p, f.r
 
     def fn(aw, xk, bw):
@@ -632,7 +587,7 @@ def phi_embed(f: EndCochain, B: DgAlgebra) -> XCochain:
 
 def psi_embed(f: EndCochain, A: DgAlgebra) -> XCochain:
     """Psi into the X-part: (x; b_1..b_q) -> signed f(b_1..b_q)(x)."""
-    B, X = f.A, f.X
+    B, X = f.algebra, f.X
     q, r = f.p, f.r
 
     def fn(aw, xk, bw):

@@ -7,9 +7,11 @@ seeded random cochains; ambient value windows are chosen larger so no
 truncation is silent, and out-of-window requests raise instead of dropping.
 """
 
+import json
 import random
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,16 @@ from hochduflo.suites import (suite_duflo_endgame, suite_duflo_maps,
 from hochduflo import duflo as D
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _assert_golden(name, report):
+    """The canonical report (timings off) matches its committed golden file
+    byte for byte; the files were written by the same suite calls."""
+    got = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert got == (GOLDEN / (name + ".json")).read_text(), name
+
+
 def _report(tag, ok, elapsed, detail=""):
     line = "[%s] %s (%.1fs)%s" % (tag, "PASS" if ok else "FAIL", elapsed,
                                   " " + detail if detail else "")
@@ -37,11 +49,15 @@ def test_ac1_hochschild_axioms():
     t0 = time.time()
     ok = True
     detail = []
+    reports = {}
     for g in (LieAlgebra.aff1(), LieAlgebra.sl2()):
         report = suite_hochschild_axioms(g, max_arity=4, trials=200, seed=0)
         ok = ok and report.ok
         detail.append("%s:%s" % (g.name, "ok" if report.ok else "FAIL"))
+        reports[g.name] = report
     _report("AC1", ok, time.time() - t0, ",".join(detail))
+    for name, report in reports.items():
+        _assert_golden("ac1_" + name, report)
 
 
 def test_ac2_trio_complex():
@@ -50,6 +66,7 @@ def test_ac2_trio_complex():
     report = suite_trio(LieAlgebra.aff1(), trials=50, seed=0, pbw=5)
     _report("AC2", report.ok, time.time() - t0,
             ";".join(c.name for c in report.checks if not c.ok))
+    _assert_golden("ac2", report)
 
 
 def test_ac3_keller_homotopies():
@@ -86,10 +103,14 @@ def test_ac4_vanishing_machinery():
     """Filtration homotopy on the augmentation cone and the tail bound."""
     t0 = time.time()
     ok = True
+    reports = {}
     for g in (LieAlgebra.aff1(), LieAlgebra.sl2()):
         report = suite_vanishing(g, depth=4, seed=0)
         ok = ok and report.ok
+        reports[g.name] = report
     _report("AC4", ok, time.time() - t0)
+    for name, report in reports.items():
+        _assert_golden("ac4_" + name, report)
 
 
 def test_ac5_phi_psi_embeddings():
@@ -97,12 +118,14 @@ def test_ac5_phi_psi_embeddings():
     report = suite_phi_psi(LieAlgebra.aff1(), trials=50, seed=0)
     _report("AC5", report.ok, time.time() - t0,
             ";".join(c.name for c in report.checks if not c.ok))
+    _assert_golden("ac5", report)
 
 
 def test_ac6_sum_example():
     t0 = time.time()
     report = suite_sum_example(max_window=6)
     _report("AC6", report.ok, time.time() - t0)
+    _assert_golden("ac6", report)
 
 
 def test_ac7_section_five_maps():
@@ -110,6 +133,7 @@ def test_ac7_section_five_maps():
     report = suite_duflo_maps(LieAlgebra.aff1(), trials=50, seed=0)
     _report("AC7", report.ok, time.time() - t0,
             ";".join(c.name for c in report.checks if not c.ok))
+    _assert_golden("ac7", report)
 
 
 def test_ac8_homotopy_identity():
@@ -118,6 +142,8 @@ def test_ac8_homotopy_identity():
     r1 = suite_homotopy_identity(LieAlgebra.aff1(), trials=100, seed=0)
     r2 = suite_homotopy_identity(LieAlgebra.sl2(), trials=25, seed=0)
     _report("AC8", r1.ok and r2.ok, time.time() - t0)
+    _assert_golden("ac8_aff1", r1)
+    _assert_golden("ac8_sl2", r2)
 
 
 def test_ac9_duflo_endgame():
@@ -128,6 +154,7 @@ def test_ac9_duflo_endgame():
                                  seed=0)
     _report("AC9", report.ok, time.time() - t0,
             ";".join(c.name for c in report.checks if not c.ok))
+    _assert_golden("ac9", report)
 
 
 def test_ac10_appendix_suites():

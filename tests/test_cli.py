@@ -84,3 +84,29 @@ def test_unknown_suite_fails_loudly():
 def test_suite_exit_code_reflects_failures(monkeypatch):
     # a passing suite returns zero through the in-process entry point
     assert main(["suite", "sum-example", "--lie", "abelian1"]) == 0
+
+
+def test_json_flag_after_subcommand():
+    before = run_cli(["--json", "suite", "sum-example", "--lie", "abelian1"])
+    after = run_cli(["suite", "sum-example", "--lie", "abelian1", "--json"])
+    assert after.returncode == 0, after.stderr
+    assert after.stdout == before.stdout
+    assert json.loads(after.stdout)["suite"] == "sum-example"
+    assert build_parser().parse_args(["suite", "sum-example"]).json is False
+
+
+@pytest.mark.parametrize("content", [
+    None,                                              # missing file
+    "{\"name\": \"broken\", \"dimension\": 2,",        # malformed JSON
+    json.dumps({"name": "noj", "dimension": 2, "brackets": [
+        {"i": 1, "coeffs": {"2": "1"}}]}),             # entry without "j"
+], ids=["missing", "malformed", "no-j"])
+def test_bad_lie_input_is_a_one_line_error(tmp_path, capsys, content):
+    path = tmp_path / "g.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(StructuralError):
+        load_lie_algebra(str(path))
+    assert main(["suite", "sum-example", "--lie", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

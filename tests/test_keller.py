@@ -10,10 +10,9 @@ from hochduflo.exact import (GradedMap, GradedVector, StructuralError,
 from hochduflo.keller import (AbelianActionCone, AugmentationCone, LieTriple,
                               ModuleCochain, frak_h_sequence,
                               frak_h_vanishing_index, kernel_dimension_match,
-                              module_hoch_d, module_hoch_partial, module_H,
                               row_exactness_certificate)
 from hochduflo.liealg import LieAlgebra, cocontract, contract
-from hochduflo.hochschild import ug_algebra
+from hochduflo.hochschild import hoch_d, hoch_partial, ug_algebra
 from hochduflo.signs import sgn
 from hochduflo.trio import XCochain, d_left, d_right
 from hochduflo.suites import suite_vanishing
@@ -297,22 +296,22 @@ def test_frak_h_master_identity():
                 check=False)
         return (v, g0, g1)
 
-    f = ModuleCochain(A, M, 0, fn, label="f")
     r = 0
+    f = ModuleCochain(A, M, 0, fn, label="f", r=r)
     K = r + cone.degree_bound() + 1
     seq = frak_h_sequence(f, r, K)
-    seq_dh = frak_h_sequence(module_hoch_d(f, r), r, K)
-    seq_dp = frak_h_sequence(module_hoch_partial(f), r + 1, K)
+    seq_dh = frak_h_sequence(hoch_d(f, M), r, K)
+    seq_dp = frak_h_sequence(hoch_partial(f, M), r + 1, K)
     for arity in (0, 1, 2):
         for w in words_fn(arity):
             acc = M.zero()
             for k, (hk, _d) in enumerate(seq):
                 if hk.p == arity:
                     acc = M.add(acc, M.scale(
-                        module_hoch_partial(hk).value(w), sgn(k)))
+                        hoch_partial(hk, M).value(w), sgn(k)))
                 if hk.p == arity - 1:
                     acc = M.add(acc, M.scale(
-                        module_hoch_d(hk, r - k - 1).value(w), sgn(k)))
+                        hoch_d(hk, M).value(w), sgn(k)))
             for k, (hk, _d) in enumerate(seq_dh):
                 if hk.p == arity:
                     acc = M.add(acc, M.scale(hk.value(w), sgn(k)))

@@ -7,11 +7,13 @@ import pytest
 
 from hochduflo.exact import (GradedMap, GradedVector, StructuralError,
                              derive_seed, random_vector)
-from hochduflo.hochschild import (BimoduleOps, Cochain, hoch_d, random_cochain)
+from hochduflo.hochschild import (BimoduleOps, Cochain, hoch_d, hoch_partial,
+                                  random_cochain)
 from hochduflo.keller import LieTriple
 from hochduflo.liealg import LieAlgebra
 from hochduflo.suites import suite_trio, suite_phi_psi
-from hochduflo.trio import (EndCochain, TrioCochain, XCochain, d_ax, d_left,
+from hochduflo.trio import (ALinearEnds, BLinearEnds, EndCochain, TrioCochain,
+                            XCochain, d_ax, d_left,
                             d_right, d_xb, del_x, embed_trio, phi_embed,
                             project_a, project_b, psi_embed, rho_a_star,
                             semidirect_algebra, trio_differential)
@@ -167,3 +169,20 @@ def test_window_violations_raise(aff1):
     from hochduflo.exact import WindowOverflow
     with pytest.raises(WindowOverflow):
         d_left(f).value(((0,),), top, ())
+
+
+def test_end_differential_keeps_window_coverage(aff1):
+    """Zero End(X) values still go through the actions, so the window
+    refusals of the action maps reach the coverage of the result."""
+    triple = LieTriple(aff1, 2)
+    A, B, X = triple.A, triple.B, triple.X
+    top = {k for k in triple.x_space.keys if len(k[0]) == 2}
+    f = EndCochain(A, X, 0, 0, label="zero")
+    dh = hoch_d(f, BLinearEnds(A, X)).value(((0,),))
+    assert dh.is_zero() and dh.covered is not None
+    assert top and not top & dh.covered
+    assert hoch_partial(f, BLinearEnds(A, X)).value(()).shift == 1
+    g = EndCochain(B, X, 2, 0, label="zero")
+    empty = g.value_with_slot((), GradedVector.zero(B.space), ((0,),))
+    assert empty.is_zero() and empty.shift == 1
+    assert hoch_d(g, ALinearEnds(B, X)).value(((0,), (1,), ())).shift == 2
