@@ -10,14 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from .exact import (GradedMap, StructuralError, cohomology_slice,
                     rows_nullspace, rows_rank)
 from .liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
-                     ce_hom_matrix, ce_module_sym, ce_module_trivial,
-                     ce_module_ug, invariants_basis)
+                     ce_hom_matrix, ce_module_sym, ce_module_ug)
 from .hochschild import dual_odd_algebra, interior_hh
 from . import suites as S
 from . import duflo as D

@@ -9,11 +9,9 @@ multilinear maps on an algebra and on its shift.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
-
 from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
-                    StructuralError, as_q)
-from .signs import sort_monomial, unshuffles, unshuffle_sign, koszul_sign
+                    StructuralError)
+from .signs import sort_monomial, unshuffles, unshuffle_sign
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ and the symmetric route agree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
 
@@ -22,9 +21,8 @@ from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     random_vector)
 from .series import PolyTrunc, duflo_log_coefficients, matrix_series_det
 from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, SymPoly,
-                     interior_product, pair_dual_vec, pbw_map,
-                     ce_differential, ce_module_sym, ce_module_ug,
-                     coadjoint_action_poly, CeModule)
+                     interior_product, pair_dual_vec, pbw_map, ce_differential,
+                     ce_module_sym, ce_module_ug, coadjoint_action_poly)
 from .hochschild import (Cochain, Derived, DgAlgebra, BimoduleOps, add_cochain,
                          hoch_d, hoch_partial)
 from .keller import LieTriple
@@ -307,7 +305,7 @@ def hkr_cochain(tp: PolyVectors, B: DgAlgebra, t_key, coeff=ONE) -> Cochain:
     r = len(bkey) - q
 
     def fn(word):
-        out = GradedVector.zero(tp.dual.space)
+        out = GradedVector.zero(B.space)
         base = GradedVector.basis(tp.dual.space, bkey, coeff)
         scale = Q(1, factorial(q))
         for perm in permutations(range(q)):

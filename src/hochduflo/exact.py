@@ -9,8 +9,9 @@ Three value types carry the whole package:
   columnwise over source keys (an absent column is the zero column).
 
 Coefficients are arbitrary-precision rationals; there is no floating point
-anywhere.  Row reduction is fraction-free (Bareiss pivoting with exact
-division) so intermediate entries stay integral and bounded.
+anywhere.  Row reduction is sparse and fraction-free: rows are
+``{column: int}`` dicts, eliminated column by column from the left, each
+combination divided by its content so entries stay integral and small.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import gcd, lcm
 
 Q = Fraction
 ZERO = Fraction(0)
@@ -417,67 +420,119 @@ def PartialMap(source, target, shift, covered, columns=None, check=True):
 
 
 # ---------------------------------------------------------------------------
-# fraction-free row reduction
+# sparse fraction-free row reduction
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(row):
-    """Scale a rational row to a primitive integer row."""
-    from math import gcd
-    denom = 1
-    for c in row:
-        if c:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in row]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+def _primitive(row):
+    """Divide a sparse integer row by the gcd of its entries."""
+    g = gcd(*row.values())
     if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+        return {j: v // g for j, v in row.items()}
+    return row
+
+
+def _integer_row(row):
+    """Sparse primitive integer row ``{column: int}`` of a dense rational row.
+
+    Zero cells are dropped before any rational arithmetic; denominators are
+    cleared over the non-zeros only.
+    """
+    cells = {}
+    for j, c in enumerate(row):
+        if c is not ZERO and c:
+            q = as_q(c)
+            if q:
+                cells[j] = q
+    if not cells:
+        return cells
+    denom = lcm(*(q.denominator for q in cells.values()))
+    return _primitive({j: q.numerator * (denom // q.denominator)
+                       for j, q in cells.items()})
 
 
 def bareiss_echelon(rows):
-    """Fraction-free (Bareiss) echelon form of a dense rational matrix.
+    """Sparse fraction-free echelon form of a dense rational matrix.
 
-    Input rows are lists of Fractions; returns ``(echelon, pivot_cols)`` where
-    ``echelon`` is a list of integer rows in row echelon form.
+    Input rows are lists of rationals.  Returns ``(echelon, pivot_cols)``:
+    ``echelon`` is a list of sparse primitive integer rows ``{column: int}``,
+    the i-th with leading column ``pivot_cols[i]``, and the pivot columns are
+    the leftmost linearly independent columns of the input, in increasing
+    order.
+
+    Each row waits in the bucket of its leading column, and the columns are
+    taken from left to right.  A bucket's pivot is its row with the smallest
+    ``(|leading entry|, non-zeros)``; every other row ``r`` of the bucket is
+    replaced by ``pc * r - ic * pivot`` (both scaled down by ``gcd(pc, ic)``),
+    divided by its content and re-bucketed.  Dividing by the content replaces
+    Bareiss's exact division by the previous pivot, so entries stay integral
+    and small without touching any other row.
+
+    The name is Bareiss's, for the dense fraction-free scheme this replaced;
+    it is kept because ``perfbench/tracer.py`` looks the function up by name.
     """
-    mat = [_clear_denominators([as_q(c) for c in row]) for row in rows]
-    mat = [row for row in mat if any(row)]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r >= len(mat):
-            break
-        piv = None
-        best = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                weight = (abs(mat[i][c]), sum(1 for x in mat[i] if x))
-                if best is None or weight < best:
-                    best = weight
-                    piv = i
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pc = mat[r][c]
-        for i in range(r + 1, len(mat)):
-            if not any(mat[i][c:]):
+    buckets = {}
+    columns = []
+
+    def put(row):
+        lead = min(row)
+        bucket = buckets.get(lead)
+        if bucket is None:
+            buckets[lead] = [row]
+            heappush(columns, lead)
+        else:
+            bucket.append(row)
+
+    for row in rows:
+        row = _integer_row(row)
+        if row:
+            put(row)
+    echelon, pivots = [], []
+    while columns:
+        c = heappop(columns)
+        bucket = buckets.pop(c)
+        prow = min(bucket, key=lambda row: (abs(row[c]), len(row)))
+        pc = prow[c]
+        for row in bucket:
+            if row is prow:
                 continue
-            ic = mat[i][c]
-            row_i = mat[i]
-            row_r = mat[r]
-            for j in range(c, ncols):
-                row_i[j] = (pc * row_i[j] - ic * row_r[j]) // prev
-        prev = pc
+            g = gcd(pc, row[c])
+            a, b = pc // g, row[c] // g
+            new = {j: a * v for j, v in row.items()}
+            for j, v in prow.items():
+                x = new.get(j, 0) - b * v
+                if x:
+                    new[j] = x
+                else:
+                    del new[j]
+            if new:
+                put(_primitive(new))
+        echelon.append(prow)
         pivots.append(c)
-        r += 1
-    mat = [row for row in mat if any(row)]
-    return mat, pivots
+    return echelon, pivots
+
+
+def _back_substitute(echelon, pivots, fixed, ncols):
+    """Solution of ``echelon * x = 0`` with ``x`` fixed on ``fixed``.
+
+    ``fixed`` maps non-pivot columns to values; every other non-pivot column
+    is zero, which makes the solution unique.  Returns the dense list of
+    ``x`` on columns ``0 .. ncols - 1``.
+    """
+    sol = dict(fixed)
+    for i in range(len(echelon) - 1, -1, -1):
+        row = echelon[i]
+        s = ZERO
+        for j, v in row.items():
+            x = sol.get(j)
+            if x is not None:
+                s += v * x
+        if s:
+            sol[pivots[i]] = -s / row[pivots[i]]
+    out = [ZERO] * ncols
+    for j, x in sol.items():
+        if j < ncols:
+            out[j] = x
+    return out
 
 
 def rows_rank(rows) -> int:
@@ -486,25 +541,15 @@ def rows_rank(rows) -> int:
 
 
 def rows_nullspace(rows, ncols):
-    """Exact rational basis of the right nullspace of the given rows."""
+    """Exact rational basis of the right nullspace of the given rows.
+
+    One vector per non-pivot column: 1 there, 0 on the other non-pivot
+    columns.
+    """
     ech, pivots = bareiss_echelon(rows) if rows else ([], [])
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        sol = [ZERO] * ncols
-        sol[free] = ONE
-        # back substitution over the integer echelon rows
-        for i in range(len(ech) - 1, -1, -1):
-            c = pivots[i]
-            s = ZERO
-            row = ech[i]
-            for j in range(c + 1, ncols):
-                if row[j] and sol[j]:
-                    s += Fraction(row[j]) * sol[j]
-            sol[c] = -s / row[c]
-        basis.append(sol)
-    return basis
+    return [_back_substitute(ech, pivots, {free: ONE}, ncols)
+            for free in range(ncols) if free not in pivot_set]
 
 
 def rows_solve(rows, rhs):
@@ -519,21 +564,10 @@ def rows_solve(rows, rhs):
     ncols = len(rows[0])
     aug = [list(rows[i]) + [as_q(rhs[i])] for i in range(nrows)]
     ech, pivots = bareiss_echelon(aug)
-    for row in ech:
-        if not any(row[:ncols]) and row[ncols]:
-            return None
-    sol = [ZERO] * ncols
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        if c >= ncols:
-            return None
-        row = ech[i]
-        s = Fraction(row[ncols])
-        for j in range(c + 1, ncols):
-            if row[j] and sol[j]:
-                s -= Fraction(row[j]) * sol[j]
-        sol[c] = s / row[c]
-    return sol
+    if pivots and pivots[-1] == ncols:
+        return None
+    # the right-hand side is the column ncols of [rows | rhs] (x, -1) = 0
+    return _back_substitute(ech, pivots, {ncols: -ONE}, ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ algebras.
 from __future__ import annotations
 
 from .signs import sgn
-from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
-                    StructuralError, WindowOverflow, as_q, bilinear,
-                    cohomology_slice, derive_seed, random_vector)
+from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
+                    bilinear, cohomology_slice, derive_seed, random_vector)
 
 
 class TruncationWindow:

@@ -22,12 +22,11 @@ from fractions import Fraction
 from .signs import sgn
 from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, derive_seed,
-                    random_vector, rows_solve, kernel_basis)
-from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, contract,
-                     cocontract, pair_dual_vec)
+                    random_vector, rows_solve)
+from .liealg import LieAlgebra, UgWindow, OddSym, DualOdd, contract, cocontract
 from .hochschild import (DgAlgebra, WordCochain, dual_odd_algebra, hoch_d,
                          ug_algebra)
-from .trio import Bimodule, XCochain, XDerived, EndCochain
+from .trio import Bimodule, XCochain, XDerived
 
 
 class LieTriple:

@@ -11,7 +11,6 @@ Two flavours:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from math import factorial
 

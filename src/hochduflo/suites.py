@@ -10,29 +10,24 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 
 from .signs import sgn
-from .exact import (Q, ZERO, BasisSpace, GradedMap, GradedVector,
-                    StructuralError, WindowOverflow, derive_seed,
-                    random_vector, rows_nullspace, rows_rank, rows_solve,
-                    cohomology_slice)
-from .liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
-                     ce_module_sym, ce_module_trivial, ce_module_ug,
-                     ce_differential, ce_hom_matrix, invariants_basis,
-                     pbw_map)
-from .hochschild import (BimoduleOps, Cochain, DgAlgebra, cup, circ,
-                         dual_odd_algebra, gerstenhaber, ground_field,
+from .exact import (ZERO, GradedMap, GradedVector, StructuralError,
+                    WindowOverflow, derive_seed, random_vector, rows_nullspace,
+                    rows_rank, rows_solve)
+from .liealg import (LieAlgebra, OddSym, DualOdd, UgWindow, ce_module_sym,
+                     ce_module_ug, ce_differential, ce_hom_matrix,
+                     invariants_basis, pbw_map)
+from .hochschild import (BimoduleOps, cup, dual_odd_algebra, gerstenhaber,
                          hoch_d, hoch_partial, identity_cochain, interior_hh,
                          multiplication_cochain, differential_cochain,
                          random_cochain, total_cochain_space,
                          total_differential, unit_cochain, ug_algebra,
                          words_of)
-from .trio import (ALinearEnds, BLinearEnds, Bimodule, EndCochain,
-                   TrioCochain, XCochain, d_ax, d_left, d_right, d_xb, del_x,
-                   embed_trio, phi_embed, project_a, project_b, psi_embed,
-                   random_x_cochain, rho_a_star, rho_b_star,
-                   semidirect_algebra, trio_differential)
+from .trio import (ALinearEnds, BLinearEnds, EndCochain, TrioCochain, d_ax,
+                   d_left, d_right, del_x, embed_trio, phi_embed, project_b,
+                   psi_embed, random_x_cochain, rho_a_star, semidirect_algebra,
+                   trio_differential)
 from .keller import (AbelianActionCone, AugmentationCone, LieTriple,
                      ModuleCochain, frak_h_vanishing_index,
                      kernel_dimension_match, row_exactness_certificate)

@@ -11,8 +11,8 @@ the X-part.
 from __future__ import annotations
 
 from .signs import sgn
-from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
-                    StructuralError, derive_seed, random_vector)
+from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
+                    derive_seed, random_vector)
 from .hochschild import (Cochain, DgAlgebra, WordCochain, add_cochain,
                          hoch_d, hoch_partial)
 

@@ -2,7 +2,8 @@
 
 Everything here is implemented from first principles, avoiding the package's
 own routines: plain fraction Gaussian elimination (no fraction-free
-pivoting), permutation signs by inversion counting, pairings by recursive
+pivoting), the dense Bareiss elimination the package used before its sparse
+one, permutation signs by inversion counting, pairings by recursive
 Laplace-style expansion, series coefficients by direct Cauchy products, and
 PBW normal ordering by a different rewriting strategy.
 """
@@ -42,6 +43,130 @@ def gauss_nullity(rows, ncols):
     if not rows:
         return ncols
     return ncols - gauss_rank(rows)
+
+
+# -- dense fraction-free (Bareiss) elimination ------------------------------
+# The package's elimination before it became sparse, kept as the reference
+# that the sparse solver must reproduce list for list.
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _clear_denominators(row):
+    """Scale a rational row to a primitive integer row."""
+    from math import gcd
+    denom = 1
+    for c in row:
+        if c:
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = [int(c * denom) for c in row]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    if g > 1:
+        ints = [c // g for c in ints]
+    return ints
+
+
+def dense_bareiss_echelon(rows):
+    """Fraction-free (Bareiss) echelon form of a dense rational matrix.
+
+    Input rows are lists of Fractions; returns ``(echelon, pivot_cols)`` where
+    ``echelon`` is a list of integer rows in row echelon form.
+    """
+    mat = [_clear_denominators([Fraction(c) for c in row]) for row in rows]
+    mat = [row for row in mat if any(row)]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r >= len(mat):
+            break
+        piv = None
+        best = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                weight = (abs(mat[i][c]), sum(1 for x in mat[i] if x))
+                if best is None or weight < best:
+                    best = weight
+                    piv = i
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        pc = mat[r][c]
+        for i in range(r + 1, len(mat)):
+            if not any(mat[i][c:]):
+                continue
+            ic = mat[i][c]
+            row_i = mat[i]
+            row_r = mat[r]
+            for j in range(c, ncols):
+                row_i[j] = (pc * row_i[j] - ic * row_r[j]) // prev
+        prev = pc
+        pivots.append(c)
+        r += 1
+    mat = [row for row in mat if any(row)]
+    return mat, pivots
+
+
+def dense_rows_rank(rows) -> int:
+    _, pivots = dense_bareiss_echelon(rows)
+    return len(pivots)
+
+
+def dense_rows_nullspace(rows, ncols):
+    """Exact rational basis of the right nullspace of the given rows."""
+    ech, pivots = dense_bareiss_echelon(rows) if rows else ([], [])
+    pivot_set = set(pivots)
+    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for free in free_cols:
+        sol = [ZERO] * ncols
+        sol[free] = ONE
+        # back substitution over the integer echelon rows
+        for i in range(len(ech) - 1, -1, -1):
+            c = pivots[i]
+            s = ZERO
+            row = ech[i]
+            for j in range(c + 1, ncols):
+                if row[j] and sol[j]:
+                    s += Fraction(row[j]) * sol[j]
+            sol[c] = -s / row[c]
+        basis.append(sol)
+    return basis
+
+
+def dense_rows_solve(rows, rhs):
+    """Minimal-support particular solution of ``rows * x = rhs`` or None.
+
+    Free variables are set to zero, so the solution is the one produced by
+    plain elimination (the "elimination-minimal" preimage).
+    """
+    nrows = len(rows)
+    if nrows == 0:
+        return None if any(rhs) else []
+    ncols = len(rows[0])
+    aug = [list(rows[i]) + [Fraction(rhs[i])] for i in range(nrows)]
+    ech, pivots = dense_bareiss_echelon(aug)
+    for row in ech:
+        if not any(row[:ncols]) and row[ncols]:
+            return None
+    sol = [ZERO] * ncols
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        if c >= ncols:
+            return None
+        row = ech[i]
+        s = Fraction(row[ncols])
+        for j in range(c + 1, ncols):
+            if row[j] and sol[j]:
+                s -= Fraction(row[j]) * sol[j]
+        sol[c] = s / row[c]
+    return sol
 
 
 # -- permutation and Koszul signs by inversion counting ----------------------

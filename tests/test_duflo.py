@@ -89,14 +89,29 @@ def test_hkr_values(aff1):
     B = dual_odd_algebra(DualOdd(aff1), OddSym(aff1))
     # arity zero: the functional part passes through
     c0 = hkr_cochain(tp, B, ((1, 0), ()))
-    assert c0.value(()) == GradedVector.basis(tp.dual.space, (1, 0))
+    assert c0.value(()) == GradedVector.basis(B.space, (1, 0))
     # arity one: a single interior product
     c1 = hkr_cochain(tp, B, ((), (0,)))
     for b in tp.dual.space.keys:
         got = c1.value((b,))
         want = interior_product(tp.dual, tp.odd, (0,),
                                 GradedVector.basis(tp.dual.space, b))
-        assert got == want
+        assert got == GradedVector(B.space, want.coeffs)
+
+
+def test_hkr_values_live_in_the_cochain_module(aff1):
+    """hkr values are vectors of B's own space, not of the polyvectors'
+    DualOdd space (same name and keys, another object)."""
+    ctx = DufloContext(aff1, pbw_cap=6, sym_cap=4)
+    assert ctx.B.space is not ctx.tp.dual.space
+    t = GradedVector.basis(ctx.tp.space, ((1, 0), (0, 1)))
+    f = hkr(ctx.tp, ctx.B, t)[(2, 0)]
+    values = [f.value((a, b)) for a in ctx.B.space.keys
+              for b in ctx.B.space.keys]
+    assert all(v.space is ctx.B.space for v in values)
+    assert any(values)
+    assert sum(values[1:], values[0]) == \
+        GradedVector.basis(ctx.B.space, (1, 0), Q(-1))
 
 
 def test_interior_product_characterization(sl2):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
                              StructuralError, WindowOverflow, ComplexSlice,
@@ -13,7 +14,8 @@ from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
 from hochduflo.liealg import LieAlgebra, OddSym, DualOdd
 from hochduflo.keller import LieTriple
 
-from oracles import gauss_rank, gauss_nullity
+from oracles import (dense_rows_nullspace, dense_rows_rank, dense_rows_solve,
+                     gauss_nullity, gauss_rank)
 
 
 def small_space(name="V"):
@@ -211,6 +213,41 @@ def test_fraction_free_solver_agrees_with_plain_gauss():
         for sol in rows_nullspace(rows, 5):
             for row in rows:
                 assert sum(c * x for c, x in zip(row, sol)) == 0
+
+
+@st.composite
+def sparse_systems(draw):
+    """A sparse rational matrix of 0-12 rows and columns with a right-hand
+    side: fractional entries, zero and duplicate rows, and a right-hand side
+    that is either the image of a rational vector or drawn freely."""
+    ncols = draw(st.integers(0, 12))
+    fill = draw(st.integers(1, 10))
+    entry = st.fractions(-6, 6, max_denominator=4)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "duplicate"]))
+        if kind == "zero":
+            rows.append([Q(0)] * ncols)
+        elif kind == "duplicate" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append([draw(entry) if draw(st.integers(1, 10)) <= fill
+                         else Q(0) for _ in range(ncols)])
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(ncols)]
+        rhs = [sum((a * b for a, b in zip(row, x)), Q(0)) for row in rows]
+    else:
+        rhs = [draw(entry) for _ in rows]
+    return rows, ncols, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_systems())
+def test_sparse_elimination_matches_dense_bareiss(system):
+    rows, ncols, rhs = system
+    assert rows_rank(rows) == dense_rows_rank(rows)
+    assert rows_nullspace(rows, ncols) == dense_rows_nullspace(rows, ncols)
+    assert rows_solve(rows, rhs) == dense_rows_solve(rows, rhs)
 
 
 def test_solver_membership():

@@ -237,6 +237,27 @@ def test_cone_homotopy(aff1, sl2):
         assert cone.containment_violations() == []
 
 
+@pytest.mark.parametrize("name", ["sl2", "heisenberg3"])
+def test_cone_homotopy_matches_dense_elimination(name, monkeypatch):
+    """The sparse solver picks the same elimination-minimal preimages as the
+    dense Bareiss solver: every column of the cone homotopy is equal."""
+    import hochduflo.keller as keller
+    from oracles import dense_rows_solve
+
+    def build():
+        g = getattr(LieAlgebra, name)()
+        cone = AugmentationCone(LieTriple(g, 4), 4)
+        return cone.space.keys, cone.build_homotopy()
+
+    keys, sparse = build()
+    monkeypatch.setattr(keller, "rows_solve", dense_rows_solve)
+    dense_keys, dense = build()
+    assert keys == dense_keys
+    assert any(sparse.column(k) for k in keys)
+    for k in keys:
+        assert sparse.column(k).coeffs == dense.column(k).coeffs, k
+
+
 def test_cone_depth_refusal(aff1):
     with pytest.raises(WindowOverflow):
         AugmentationCone(LieTriple(aff1, 2), 3)
