@@ -97,12 +97,6 @@ class SymCoalgebra:
                 out.add_term((lk, rk), sign)
         return out
 
-    def coproduct(self) -> GradedMap:
-        m = GradedMap(self.space, self.square, 0)
-        for key in self.space.keys:
-            m.set_column(key, self.coproduct_key(key), check=False)
-        return m
-
     def coderivation_from(self, components) -> GradedMap:
         """Coderivation lifted from generator components.
 

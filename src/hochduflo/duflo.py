@@ -26,7 +26,7 @@ from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, SymPoly,
 from .hochschild import (Cochain, Derived, DgAlgebra, BimoduleOps, add_cochain,
                          hoch_d, hoch_partial)
 from .keller import LieTriple
-from .trio import (XCochain, add_x_part, d_ax, d_xb, d_left, d_right, del_x)
+from .trio import XCochain, add_x_differential, d_ax, d_xb, d_right, del_x
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +430,12 @@ class DufloContext:
         for (p, r), f in sorted(e.fA.items()):
             add_cochain(out.fA, (p + 1, r), hoch_d(f, self.a_ops))
             add_cochain(out.fA, (p, r + 1), hoch_partial(f, self.a_ops))
-            add_x_part(out.fX, (p, 0, r), d_ax(f, self.X, self.B))
-        for (p, q, r), f in sorted(e.fX.items()):
-            add_x_part(out.fX, (p + 1, q, r), d_left(f))
-            add_x_part(out.fX, (p, q + 1, r), d_right(f))
-            add_x_part(out.fX, (p, q, r + 1), del_x(f))
+            add_cochain(out.fX, (p, 0, r), d_ax(f, self.X, self.B))
+        for _, f in sorted(e.fX.items()):
+            add_x_differential(out.fX, f)
         if e.t is not None and e.t:
             for (q, r), c in hkr(self.tp, self.B, e.t).items():
-                add_x_part(out.fX, (0, q, r), d_xb(c, self.A, self.X))
+                add_cochain(out.fX, (0, q, r), d_xb(c, self.A, self.X))
             out.t = self.tp.d_t()(e.t)
         else:
             out.t = GradedVector.zero(self.tp.space)
@@ -745,9 +743,7 @@ class LinearXCochain(XCochain):
         self.columns = columns      # dict bw -> LinearValue
 
     def value(self, aw, xk, bw):
-        aw, bw = tuple(aw), tuple(bw)
-        if len(aw) != self.p or len(bw) != self.q:
-            raise StructuralError("tridegree mismatch in %s" % self.label)
+        aw, bw = self.pieces(aw, bw)
         got = self.columns.get(bw)
         if got is None:
             return GradedVector.zero(self.X.space)
@@ -769,13 +765,11 @@ def lift_residuals(ctx: DufloContext, u0: GradedVector, components: dict,
     a_letters = a_letters or [k for k in ctx.ug.space.keys if len(k) <= 1]
     fA = Cochain(ctx.A, ctx.A, 0, 0, columns={(): u0}, label="u0")
     pieces = {}
-    add_x_part(pieces, (0, 0, 0), d_ax(fA, ctx.X, ctx.B))
-    for q, comp in components.items():
-        add_x_part(pieces, (1, q, -1 - q), d_left(comp))
-        add_x_part(pieces, (0, q + 1, -1 - q), d_right(comp))
-        add_x_part(pieces, (0, q, -q), del_x(comp))
+    add_cochain(pieces, (0, 0, 0), d_ax(fA, ctx.X, ctx.B))
+    for comp in components.values():
+        add_x_differential(pieces, comp)
     for (q, rB), f in fB.items():
-        add_x_part(pieces, (0, q, rB), d_xb(f, ctx.A, ctx.X))
+        add_cochain(pieces, (0, q, rB), d_xb(f, ctx.A, ctx.X))
 
     bad = []
     for (p, q, r), piece in sorted(pieces.items()):

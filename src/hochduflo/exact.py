@@ -398,16 +398,6 @@ class GradedMap:
     def is_zero(self) -> bool:
         return all(not col for col in self.columns.values())
 
-    def restrict(self, keys):
-        """Restriction to a subfamily of source keys (same ambient spaces)."""
-        out = GradedMap(self.source, self.target, self.shift,
-                        covered=self.covered)
-        for key in keys:
-            col = self.columns.get(key)
-            if col is not None:
-                out.columns[key] = col
-        return out
-
     def __repr__(self):
         return "GradedMap(%s -> %s, shift=%d, %d columns)" % (
             self.source.name, self.target.name, self.shift, len(self.columns))

@@ -149,6 +149,25 @@ class WordCochain:
                          + self.algebra.word_degree(after))
 
 
+def seeded_value(space, r, value_keys, pieces, seed_parts) -> GradedVector:
+    """The value of a seeded cochain on one word: a deterministic slice.
+
+    ``pieces`` holds (letter window or None, letter space, letters) for each
+    piece of the word; a letter outside its window gives zero.  Otherwise
+    the value is the random vector of degree r + (word degree) seeded by
+    ``derive_seed(*seed_parts)``, cut to ``value_keys`` when they are given.
+    """
+    for letters, _, word in pieces:
+        if letters is not None and any(k not in letters for k in word):
+            return GradedVector.zero(space)
+    deg = r + sum(sp.degree[k] for _, sp, word in pieces for k in word)
+    vec = random_vector(space, deg, derive_seed(*seed_parts))
+    if value_keys is not None:
+        vec = GradedVector(space, {k: c for k, c in vec.coeffs.items()
+                                   if k in value_keys})
+    return vec
+
+
 class Cochain(WordCochain):
     """Hochschild cochain of bidegree (p, r) over A with values in ``module``.
 
@@ -182,16 +201,9 @@ class Cochain(WordCochain):
             return got
         if self.seed is None:
             return GradedVector.zero(self.module.space)
-        if self.letters is not None and any(l not in self.letters for l in word):
-            return GradedVector.zero(self.module.space)
-        deg = self.algebra.word_degree(word) + self.r
-        vec = random_vector(self.module.space, deg,
-                            derive_seed(self.label, self.seed, word))
-        if self.value_keys is not None:
-            vec = GradedVector(self.module.space,
-                               {k: c for k, c in vec.coeffs.items()
-                                if k in self.value_keys})
-        return vec
+        return seeded_value(self.module.space, self.r, self.value_keys,
+                            ((self.letters, self.algebra.space, word),),
+                            (self.label, self.seed, word))
 
     def derived(self, p, r, fn, label) -> "Derived":
         return Derived(self.algebra, self.module, p, r, fn, label=label)
@@ -221,14 +233,15 @@ class ZeroCochain(Cochain):
         return GradedVector.zero(self.module.space)
 
 
-def add_cochain(table, key, part: Cochain):
-    """``table[key] += part`` for vector-valued cochains keyed by (p, r)."""
+def add_cochain(table, key, part):
+    """``table[key] += part`` for vector-valued cochains keyed by their
+    degrees: (p, r) for word cochains, (p, q, r) for X-part cochains."""
     prev = table.get(key)
     if prev is None:
         table[key] = part
         return
-    table[key] = Derived(prev.algebra, prev.module, key[0], key[1],
-                         lambda w: prev.value(w) + part.value(w), label="sum")
+    table[key] = prev.derived(
+        *key, lambda *w: prev.value(*w) + part.value(*w), label="sum")
 
 
 def unit_cochain(algebra: DgAlgebra) -> Cochain:
@@ -283,7 +296,11 @@ class BimoduleOps(VectorValues):
 # keller.ModuleWithHomotopy (the acyclic modules of the tail bound).  A
 # zero vector is falsy and contributes nothing, so it is skipped; End(X)
 # maps and module elements are always truthy, so their actions always run
-# and the window refusals recorded in a map's coverage propagate.
+# and the window refusals recorded in a map's coverage propagate.  The
+# X-part cochains of the trio complex are the same formulas on the flat
+# words a_1..a_p x b_1..b_q of the semidirect algebra, whose letters act
+# through the bimodule's own keyed products; trio.d_left, trio.d_right and
+# trio.del_x write them against trio.XCochain.value_with_slot.
 
 def hoch_d(f: WordCochain, ops) -> WordCochain:
     """The Hochschild differential d_H(f), arity p+1, same r."""

@@ -26,7 +26,7 @@ from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
 from .liealg import LieAlgebra, UgWindow, OddSym, DualOdd, contract, cocontract
 from .hochschild import (DgAlgebra, WordCochain, dual_odd_algebra, hoch_d,
                          ug_algebra)
-from .trio import Bimodule, XCochain, XDerived
+from .trio import Bimodule, XCochain
 
 
 class LieTriple:
@@ -197,7 +197,7 @@ class LieTriple:
                 out.add_inplace(f.value(aw, (u, omega), (bk,) + tuple(bw)), c)
             return out.scale(sgn(q + r + 1) * sgn(d + len(x)))
 
-        return XDerived(f.A, f.X, f.B, p, q, r, fn, label="hR(%s)" % f.label)
+        return f.derived(p, q, r, fn, "hR(%s)" % f.label)
 
     def h_left(self, f: XCochain) -> XCochain:
         """h_L: lowers the A-arity by moving the Ug-factor into the last slot.
@@ -214,7 +214,7 @@ class LieTriple:
             out = f.value(tuple(aw) + (u,), ((), x), bw)
             return out.scale(sgn(r + 1 + q))
 
-        return XDerived(f.A, f.X, f.B, p, q, r, fn, label="hL(%s)" % f.label)
+        return f.derived(p, q, r, fn, "hL(%s)" % f.label)
 
     # -- random structured endomorphism values ------------------------------
 
@@ -568,12 +568,6 @@ class AbelianActionCone:
         return (GradedVector.zero(self.val.space),
                 GradedMap(self.dom.space, self.val.space, 0),
                 GradedMap(self.dom.space, self.val.space, 0))
-
-    def element(self, v=None, g0=None, g1=None):
-        z = self.zero()
-        return (v if v is not None else z[0],
-                g0 if g0 is not None else z[1],
-                g1 if g1 is not None else z[2])
 
     def add(self, m1, m2):
         return (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])

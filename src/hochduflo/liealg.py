@@ -417,13 +417,6 @@ def pair_dual_sym(dual: DualOdd, dual_key, odd: OddSym, odd_key,
     return total
 
 
-def tensor_pair_vec_dual(odd_keys, dual_keys) -> Fraction:
-    """<x_1 (x) ... (x) x_p, xi_1 (x) ... (x) xi_p> on tensor words."""
-    base = lambda i, j: -ONE if i == j else ZERO
-    return _tensor_pair(tuple(odd_keys), tuple(dual_keys),
-                        [-1] * len(odd_keys), [1] * len(dual_keys), base)
-
-
 # ---------------------------------------------------------------------------
 # contraction actions
 # ---------------------------------------------------------------------------

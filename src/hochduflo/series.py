@@ -39,19 +39,6 @@ def series_mul(a, b, order):
     return out
 
 
-def series_exp(a, order):
-    """exp of a series with zero constant term."""
-    if a and a[0]:
-        raise StructuralError("series_exp needs vanishing constant term")
-    out = [ONE] + [ZERO] * order
-    term = [ONE] + [ZERO] * order
-    for n in range(1, order + 1):
-        term = series_mul(term, a, order)
-        term = [c / n for c in term]
-        out = [x + y for x, y in zip(out, term)]
-    return out
-
-
 def series_log(a, order):
     """log of a series with constant term 1."""
     if not a or a[0] != 1:

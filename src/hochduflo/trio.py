@@ -11,10 +11,9 @@ the X-part.
 from __future__ import annotations
 
 from .signs import sgn
-from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
-                    derive_seed, random_vector)
+from .exact import BasisSpace, GradedMap, GradedVector, StructuralError
 from .hochschild import (Cochain, DgAlgebra, WordCochain, add_cochain,
-                         hoch_d, hoch_partial)
+                         hoch_d, hoch_partial, seeded_value)
 
 
 class Bimodule:
@@ -104,9 +103,13 @@ def semidirect_algebra(A: DgAlgebra, X: Bimodule, B: DgAlgebra) -> DgAlgebra:
 class XCochain:
     """Component of the trio complex: Hom^r(A^{(x)p} (x) X (x) B^{(x)q}, X).
 
-    Words are triples (a_word, x_key, b_word); values outside the stored
-    columns are zero unless a seed is present (deterministic random values,
-    restricted to the given letter windows).
+    The X-part of the Hochschild complex of the semidirect algebra A + X + B
+    (Keller 2003): its words are the flat words w = a_1..a_p x b_1..b_q with
+    exactly one X letter, at index p.  ``value`` takes a word in its three
+    pieces (a_word, x_key, b_word); ``value_with_slot`` and the component
+    differentials read it flat.  Values outside the stored columns are zero
+    unless a seed is present (deterministic random values, restricted to the
+    given letter windows).
     """
 
     def __init__(self, A: DgAlgebra, X: Bimodule, B: DgAlgebra,
@@ -123,58 +126,39 @@ class XCochain:
         self.value_keys = frozenset(value_keys) if value_keys is not None else None
         self.label = label
 
-    @property
-    def total_degree(self) -> int:
-        return self.p + self.q + self.r + 1
-
-    def word_degree(self, aw, xk, bw) -> int:
-        return (sum(self.A.space.degree[k] for k in aw)
-                + self.X.space.degree[xk]
-                + sum(self.B.space.degree[k] for k in bw))
-
-    def value(self, aw, xk, bw) -> GradedVector:
+    def pieces(self, aw, bw):
+        """The A- and B-letters as tuples, checked against the tridegree."""
         aw, bw = tuple(aw), tuple(bw)
         if len(aw) != self.p or len(bw) != self.q:
             raise StructuralError("tridegree mismatch in %s" % (self.label,))
+        return aw, bw
+
+    def value(self, aw, xk, bw) -> GradedVector:
+        aw, bw = self.pieces(aw, bw)
         got = self.columns.get((aw, xk, bw))
         if got is not None:
             return got
         if self.seed is None:
             return GradedVector.zero(self.X.space)
-        if self.a_letters is not None and any(k not in self.a_letters for k in aw):
-            return GradedVector.zero(self.X.space)
-        if self.x_letters is not None and xk not in self.x_letters:
-            return GradedVector.zero(self.X.space)
-        if self.b_letters is not None and any(k not in self.b_letters for k in bw):
-            return GradedVector.zero(self.X.space)
-        deg = self.word_degree(aw, xk, bw) + self.r
-        vec = random_vector(self.X.space, deg,
-                            derive_seed(self.label, self.seed, aw, xk, bw))
-        if self.value_keys is not None:
-            vec = GradedVector(self.X.space,
-                               {k: c for k, c in vec.coeffs.items()
-                                if k in self.value_keys})
-        return vec
+        return seeded_value(
+            self.X.space, self.r, self.value_keys,
+            ((self.a_letters, self.A.space, aw),
+             (self.x_letters, self.X.space, (xk,)),
+             (self.b_letters, self.B.space, bw)),
+            (self.label, self.seed, aw, xk, bw))
 
-    def value_a_slot(self, aw_before, vec, aw_after, xk, bw) -> GradedVector:
+    def value_with_slot(self, before, vec: GradedVector,
+                        after) -> GradedVector:
+        """Multilinear evaluation on the flat words before + (k,) + after."""
         out = GradedVector.zero(self.X.space)
+        before, after, p = tuple(before), tuple(after), self.p
         for k, c in vec.coeffs.items():
-            out.add_inplace(self.value(tuple(aw_before) + (k,) + tuple(aw_after),
-                                       xk, bw), c)
+            w = before + (k,) + after
+            out.add_inplace(self.value(w[:p], w[p], w[p + 1:]), c)
         return out
 
-    def value_x_slot(self, aw, vec, bw) -> GradedVector:
-        out = GradedVector.zero(self.X.space)
-        for k, c in vec.coeffs.items():
-            out.add_inplace(self.value(aw, k, bw), c)
-        return out
-
-    def value_b_slot(self, aw, xk, bw_before, vec, bw_after) -> GradedVector:
-        out = GradedVector.zero(self.X.space)
-        for k, c in vec.coeffs.items():
-            out.add_inplace(self.value(aw, xk,
-                                       tuple(bw_before) + (k,) + tuple(bw_after)), c)
-        return out
+    def derived(self, p, q, r, fn, label) -> "XDerived":
+        return XDerived(self.A, self.X, self.B, p, q, r, fn, label=label)
 
 
 class XDerived(XCochain):
@@ -183,21 +167,8 @@ class XDerived(XCochain):
         self._fn = fn
 
     def value(self, aw, xk, bw):
-        aw, bw = tuple(aw), tuple(bw)
-        if len(aw) != self.p or len(bw) != self.q:
-            raise StructuralError("tridegree mismatch in %s" % (self.label,))
+        aw, bw = self.pieces(aw, bw)
         return self._fn(aw, xk, bw)
-
-
-def add_x_part(table, key, part: XCochain):
-    """``table[key] += part`` for X-part cochains keyed by (p, q, r)."""
-    prev = table.get(key)
-    if prev is None:
-        table[key] = part
-        return
-    table[key] = XDerived(part.A, part.X, part.B, *key,
-                          lambda aw, xk, bw: prev.value(aw, xk, bw)
-                          + part.value(aw, xk, bw), label="sum")
 
 
 def random_x_cochain(A, X, B, p, q, r, seed, a_letters=None, x_letters=None,
@@ -239,90 +210,99 @@ def d_xb(fB: Cochain, A: DgAlgebra, X: Bimodule) -> XCochain:
     return XDerived(A, X, fB.algebra, 0, q, r, fn, label="dXB(%s)" % fB.label)
 
 
+# d_left and d_right are the Hochschild differential of the semidirect
+# algebra on the flat words with one X letter: d_left has the outer action
+# of a_1 and the adjacent products up to a.x, d_right the adjacent products
+# from x.b on and the outer action of b_q.
+
+def _add_adjacent_products(out, fX: XCochain, aw, xk, bw, pairs):
+    """out += sgn(p+q+r+i+1) fX(w_0..(w_i w_{i+1})..) for i in ``pairs``.
+
+    w = aw + (xk,) + bw is the flat word, with its X letter at index x =
+    len(aw); the pair (w_i, w_{i+1}) multiplies in A, as a.x, as x.b or in
+    B.
+    """
+    A, X, B = fX.A, fX.X, fX.B
+    w, x = aw + (xk,) + bw, len(aw)
+    s = fX.p + fX.q + fX.r + 1
+    for i in pairs:
+        if i < x - 1:
+            prod = A.mul_keys(w[i], w[i + 1])
+        elif i == x - 1:
+            prod = X.lmul_key(w[i], w[i + 1])
+        elif i == x:
+            prod = X.rmul_key(w[i], w[i + 1])
+        else:
+            prod = B.mul_keys(w[i], w[i + 1])
+        if prod:
+            out.add_inplace(fX.value_with_slot(w[:i], prod, w[i + 2:]),
+                            sgn(s + i))
+
+
 def d_left(fX: XCochain) -> XCochain:
     """The left Hochschild component, raising the A-arity by one."""
-    A, X, B = fX.A, fX.X, fX.B
+    A, X = fX.A, fX.X
     p, q, r = fX.p, fX.q, fX.r
 
     def fn(aw, xk, bw):
         out = GradedVector.zero(X.space)
-        a0 = aw[0]
         head = fX.value(aw[1:], xk, bw)
         if head:
-            out.add_inplace(X.lmul(a0, head),
-                            sgn(p + q + r + r * A.space.degree[a0]))
-        for i in range(p):
-            prod = A.mul_keys(aw[i], aw[i + 1])
-            if prod:
-                out.add_inplace(fX.value_a_slot(aw[:i], prod, aw[i + 2:], xk, bw),
-                                sgn(p + q + r + i + 1))
-        last = X.lmul_key(aw[-1], xk)
-        if last:
-            out.add_inplace(fX.value_x_slot(aw[:-1], last, bw), sgn(q + r + 1))
+            out.add_inplace(X.lmul(aw[0], head),
+                            sgn(p + q + r + r * A.space.degree[aw[0]]))
+        _add_adjacent_products(out, fX, aw, xk, bw, range(p + 1))
         return out
 
-    return XDerived(A, X, B, p + 1, q, r, fn, label="dL(%s)" % fX.label)
+    return fX.derived(p + 1, q, r, fn, "dL(%s)" % fX.label)
 
 
 def d_right(fX: XCochain) -> XCochain:
     """The right Hochschild component, raising the B-arity by one."""
-    A, X, B = fX.A, fX.X, fX.B
+    X = fX.X
     p, q, r = fX.p, fX.q, fX.r
 
     def fn(aw, xk, bw):
         out = GradedVector.zero(X.space)
-        first = X.rmul_key(xk, bw[0])
-        if first:
-            out.add_inplace(fX.value_x_slot(aw, first, bw[1:]), sgn(q + r - 1))
-        for j in range(q):
-            prod = B.mul_keys(bw[j], bw[j + 1])
-            if prod:
-                out.add_inplace(fX.value_b_slot(aw, xk, bw[:j], prod, bw[j + 2:]),
-                                sgn(q + r + j))
+        _add_adjacent_products(out, fX, aw, xk, bw, range(p, p + q + 1))
         tail = fX.value(aw, xk, bw[:-1])
         if tail:
             out.add_inplace(X.rmul(tail, bw[-1]), sgn(r))
         return out
 
-    return XDerived(A, X, B, p, q + 1, r, fn, label="dR(%s)" % fX.label)
+    return fX.derived(p, q + 1, r, fn, "dR(%s)" % fX.label)
 
 
 def del_x(fX: XCochain) -> XCochain:
     """The differential induced by d_A, d_X, d_B on the X-part."""
-    A, X, B = fX.A, fX.X, fX.B
+    X = fX.X
     p, q, r = fX.p, fX.q, fX.r
+    parts = (fX.A,) * p + (X,) + (fX.B,) * q
 
     def fn(aw, xk, bw):
         out = GradedVector.zero(X.space)
         head = fX.value(aw, xk, bw)
         if head:
             out.add_inplace(X.d_vec(head))
+        w = aw + (xk,) + bw
         acc = 0
-        if A.differential_key is not None:
-            for i in range(p):
-                da = A.d_key(aw[i])
-                if da:
-                    out.add_inplace(
-                        fX.value_a_slot(aw[:i], da, aw[i + 1:], xk, bw),
-                        -sgn(r + acc))
-                acc += A.space.degree[aw[i]]
-        else:
-            acc = sum(A.space.degree[k] for k in aw)
-        dx = X.d_key(xk)
-        if dx:
-            out.add_inplace(fX.value_x_slot(aw, dx, bw), -sgn(r + acc))
-        acc += X.space.degree[xk]
-        if B.differential_key is not None:
-            for j in range(q):
-                db = B.d_key(bw[j])
-                if db:
-                    out.add_inplace(
-                        fX.value_b_slot(aw, xk, bw[:j], db, bw[j + 1:]),
-                        -sgn(r + acc))
-                acc += B.space.degree[bw[j]]
+        for i, (part, k) in enumerate(zip(parts, w)):
+            if part.differential_key is not None:
+                dk = part.d_key(k)
+                if dk:
+                    out.add_inplace(fX.value_with_slot(w[:i], dk, w[i + 1:]),
+                                    -sgn(r + acc))
+            acc += part.space.degree[k]
         return out
 
-    return XDerived(A, X, B, p, q, r + 1, fn, label="delX(%s)" % fX.label)
+    return fX.derived(p, q, r + 1, fn, "delX(%s)" % fX.label)
+
+
+def add_x_differential(table, fX: XCochain):
+    """``table += (d_left + d_right + del_x)(fX)``, keyed by (p, q, r)."""
+    p, q, r = fX.p, fX.q, fX.r
+    add_cochain(table, (p + 1, q, r), d_left(fX))
+    add_cochain(table, (p, q + 1, r), d_right(fX))
+    add_cochain(table, (p, q, r + 1), del_x(fX))
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +336,13 @@ def trio_differential(t: TrioCochain, A: DgAlgebra, X: Bimodule,
     for (p, r), f in sorted(t.fA.items()):
         add_cochain(out.fA, (p + 1, r), hoch_d(f, a_ops))
         add_cochain(out.fA, (p, r + 1), hoch_partial(f, a_ops))
-        add_x_part(out.fX, (p, 0, r), d_ax(f, X, B))
+        add_cochain(out.fX, (p, 0, r), d_ax(f, X, B))
     for (q, r), f in sorted(t.fB.items()):
         add_cochain(out.fB, (q + 1, r), hoch_d(f, b_ops))
         add_cochain(out.fB, (q, r + 1), hoch_partial(f, b_ops))
-        add_x_part(out.fX, (0, q, r), d_xb(f, A, X))
-    for (p, q, r), f in sorted(t.fX.items()):
-        add_x_part(out.fX, (p + 1, q, r), d_left(f))
-        add_x_part(out.fX, (p, q + 1, r), d_right(f))
-        add_x_part(out.fX, (p, q, r + 1), del_x(f))
+        add_cochain(out.fX, (0, q, r), d_xb(f, A, X))
+    for _, f in sorted(t.fX.items()):
+        add_x_differential(out.fX, f)
     return out
 
 
@@ -627,23 +605,4 @@ def rho_a_star(fA: Cochain, X: Bimodule) -> EndCochain:
         return out
 
     return EndCochain(fA.algebra, X, fA.p, fA.r, label="rhoA*(%s)" % fA.label,
-                      fn=fn)
-
-
-def rho_b_star(fB: Cochain, X: Bimodule) -> EndCochain:
-    """Post-compose values with rho_B(b)(x) = (-1)^{|x||b|} x.b."""
-    def fn(word):
-        head = fB.value(word)
-        wdeg = sum(fB.algebra.space.degree[k] for k in word)
-        out = GradedMap(X.space, X.space, fB.r + wdeg)
-        for k in X.space.keys:
-            col = GradedVector.zero(X.space)
-            xdeg = X.space.degree[k]
-            for bk, c in head.coeffs.items():
-                col.add_inplace(X.rmul_key(k, bk),
-                                c * sgn(xdeg * fB.algebra.space.degree[bk]))
-            out.set_column(k, col, check=False)
-        return out
-
-    return EndCochain(fB.algebra, X, fB.p, fB.r, label="rhoB*(%s)" % fB.label,
                       fn=fn)

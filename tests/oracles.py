@@ -5,11 +5,18 @@ own routines: plain fraction Gaussian elimination (no fraction-free
 pivoting), the dense Bareiss elimination the package used before its sparse
 one, permutation signs by inversion counting, pairings by recursive
 Laplace-style expansion, series coefficients by direct Cauchy products, and
-PBW normal ordering by a different rewriting strategy.
+PBW normal ordering by a different rewriting strategy.  The X-part
+differentials of the trio complex are kept as the package wrote them before
+it read the X-part words flat: one slot evaluator and one loop per kind of
+letter.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+from hochduflo.exact import GradedVector
+from hochduflo.signs import sgn
+from hochduflo.trio import XDerived
 
 Q = Fraction
 
@@ -282,3 +289,117 @@ def unshuffles_oracle(n, k):
         right = tuple(i for i in range(n) if i not in left)
         out.append((left, right))
     return out
+
+
+# -- X-part differentials letter kind by letter kind ------------------------
+# The package's d_left, d_right and del_x before they became the Hochschild
+# formulas on flat words, with the three slot evaluators they used (there
+# methods of XCochain), kept as the reference for the flat-word evaluator.
+
+def value_a_slot(fX, aw_before, vec, aw_after, xk, bw):
+    out = GradedVector.zero(fX.X.space)
+    for k, c in vec.coeffs.items():
+        out.add_inplace(fX.value(tuple(aw_before) + (k,) + tuple(aw_after),
+                                 xk, bw), c)
+    return out
+
+
+def value_x_slot(fX, aw, vec, bw):
+    out = GradedVector.zero(fX.X.space)
+    for k, c in vec.coeffs.items():
+        out.add_inplace(fX.value(aw, k, bw), c)
+    return out
+
+
+def value_b_slot(fX, aw, xk, bw_before, vec, bw_after):
+    out = GradedVector.zero(fX.X.space)
+    for k, c in vec.coeffs.items():
+        out.add_inplace(fX.value(aw, xk,
+                                 tuple(bw_before) + (k,) + tuple(bw_after)), c)
+    return out
+
+
+def old_d_left(fX):
+    """The left Hochschild component, raising the A-arity by one."""
+    A, X, B = fX.A, fX.X, fX.B
+    p, q, r = fX.p, fX.q, fX.r
+
+    def fn(aw, xk, bw):
+        out = GradedVector.zero(X.space)
+        a0 = aw[0]
+        head = fX.value(aw[1:], xk, bw)
+        if head:
+            out.add_inplace(X.lmul(a0, head),
+                            sgn(p + q + r + r * A.space.degree[a0]))
+        for i in range(p):
+            prod = A.mul_keys(aw[i], aw[i + 1])
+            if prod:
+                out.add_inplace(value_a_slot(fX, aw[:i], prod, aw[i + 2:], xk, bw),
+                                sgn(p + q + r + i + 1))
+        last = X.lmul_key(aw[-1], xk)
+        if last:
+            out.add_inplace(value_x_slot(fX, aw[:-1], last, bw), sgn(q + r + 1))
+        return out
+
+    return XDerived(A, X, B, p + 1, q, r, fn, label="dL(%s)" % fX.label)
+
+
+def old_d_right(fX):
+    """The right Hochschild component, raising the B-arity by one."""
+    A, X, B = fX.A, fX.X, fX.B
+    p, q, r = fX.p, fX.q, fX.r
+
+    def fn(aw, xk, bw):
+        out = GradedVector.zero(X.space)
+        first = X.rmul_key(xk, bw[0])
+        if first:
+            out.add_inplace(value_x_slot(fX, aw, first, bw[1:]), sgn(q + r - 1))
+        for j in range(q):
+            prod = B.mul_keys(bw[j], bw[j + 1])
+            if prod:
+                out.add_inplace(value_b_slot(fX, aw, xk, bw[:j], prod, bw[j + 2:]),
+                                sgn(q + r + j))
+        tail = fX.value(aw, xk, bw[:-1])
+        if tail:
+            out.add_inplace(X.rmul(tail, bw[-1]), sgn(r))
+        return out
+
+    return XDerived(A, X, B, p, q + 1, r, fn, label="dR(%s)" % fX.label)
+
+
+def old_del_x(fX):
+    """The differential induced by d_A, d_X, d_B on the X-part."""
+    A, X, B = fX.A, fX.X, fX.B
+    p, q, r = fX.p, fX.q, fX.r
+
+    def fn(aw, xk, bw):
+        out = GradedVector.zero(X.space)
+        head = fX.value(aw, xk, bw)
+        if head:
+            out.add_inplace(X.d_vec(head))
+        acc = 0
+        if A.differential_key is not None:
+            for i in range(p):
+                da = A.d_key(aw[i])
+                if da:
+                    out.add_inplace(
+                        value_a_slot(fX, aw[:i], da, aw[i + 1:], xk, bw),
+                        -sgn(r + acc))
+                acc += A.space.degree[aw[i]]
+        else:
+            acc = sum(A.space.degree[k] for k in aw)
+        dx = X.d_key(xk)
+        if dx:
+            out.add_inplace(value_x_slot(fX, aw, dx, bw), -sgn(r + acc))
+        acc += X.space.degree[xk]
+        if B.differential_key is not None:
+            for j in range(q):
+                db = B.d_key(bw[j])
+                if db:
+                    out.add_inplace(
+                        value_b_slot(fX, aw, xk, bw[:j], db, bw[j + 1:]),
+                        -sgn(r + acc))
+                acc += B.space.degree[bw[j]]
+        return out
+
+    return XDerived(A, X, B, p, q, r + 1, fn, label="delX(%s)" % fX.label)

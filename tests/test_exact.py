@@ -250,6 +250,50 @@ def test_sparse_elimination_matches_dense_bareiss(system):
     assert rows_solve(rows, rhs) == dense_rows_solve(rows, rhs)
 
 
+# -- coverage propagation through sums, scalings and compositions ----------
+
+COVER_S = BasisSpace("S", [((i,), 0) for i in range(4)])
+COVER_T = BasisSpace("T", [((i,), 0) for i in range(4)])
+COVER_U = BasisSpace("U", [((i,), 0) for i in range(3)])
+
+
+@st.composite
+def covered_maps(draw, source, target):
+    """A small map, without coverage or covering a random subset of keys."""
+    covered = draw(st.none() | st.sets(st.sampled_from(source.keys)))
+    m = GradedMap(source, target, 0, covered=covered)
+    for key in (source.keys if covered is None else sorted(covered)):
+        m.set_column(key, GradedVector(target, draw(st.dictionaries(
+            st.sampled_from(target.keys), st.integers(-3, 3), max_size=3))))
+    return m
+
+
+def coverage(m):
+    return set(m.source.keys) if m.covered is None else set(m.covered)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(covered_maps(COVER_S, COVER_T), covered_maps(COVER_S, COVER_T),
+       covered_maps(COVER_T, COVER_U), st.integers(-2, 2))
+def test_coverage_propagation(f, g, outer, c):
+    total, scaled, composed = f + g, f.scale(c), outer.compose(f)
+    assert coverage(total) == coverage(f) & coverage(g)
+    assert scaled.covered == f.covered
+    leaves = {key for key, col in f.columns.items()
+              if not set(col.coeffs) <= coverage(outer)}
+    assert coverage(composed) == coverage(f) - leaves
+    for key in coverage(total):
+        assert total.column(key) == f.column(key) + g.column(key)
+    for key in coverage(composed):
+        assert composed.column(key) == outer(f.column(key))
+    for m in (total, scaled, composed):
+        for key in set(m.source.keys) - coverage(m):
+            with pytest.raises(WindowOverflow):
+                m.column(key)
+            with pytest.raises(WindowOverflow):
+                m(GradedVector.basis(m.source, key))
+
+
 def test_solver_membership():
     rows = [[Q(1), Q(2)], [Q(0), Q(1)]]
     sol = rows_solve(rows, [Q(3), Q(1)])

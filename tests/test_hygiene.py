@@ -1,10 +1,17 @@
-"""Source hygiene: no module imports a name at top level that it never uses."""
+"""Source hygiene: no unused top-level import, no definition without a
+caller, and every entry point the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "hochduflo")
-                 .glob("*.py"))
+from hochduflo.exact import GradedVector
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "hochduflo").glob("*.py"))
+# every file whose reads count as a caller
+READERS = sorted(path for tree in ("src", "tests", "demos", "perfbench")
+                 for path in (ROOT / tree).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -46,3 +53,87 @@ def test_no_unused_top_level_imports():
              for path in SOURCES
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused top-level imports: " + ", ".join(found)
+
+
+def definitions(source):
+    """(line, name) of the top-level functions and classes of a module and
+    of the non-dunder methods of its classes (as ``Class.method``)."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, kinds):
+            continue
+        found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((sub.lineno, "%s.%s" % (node.name, sub.name))
+                         for sub in node.body
+                         if isinstance(sub, kinds[:2])
+                         and not (sub.name.startswith("__")
+                                  and sub.name.endswith("__")))
+    return found
+
+
+def reads(source):
+    """Every name a module reads: loaded names, loaded attributes and string
+    constants (the tracer names its targets by string)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def uncalled(source, read):
+    """The definitions of ``source`` whose name is not in ``read``."""
+    return [(line, name) for line, name in definitions(source)
+            if name.rpartition(".")[2] not in read]
+
+
+def test_uncalled_scanner_sees_names_attributes_and_strings():
+    source = ("import os\n"
+              "def used(): pass\ndef unused(): pass\ndef traced(): pass\n"
+              "class Kept:\n    def __init__(self): pass\n"
+              "    def method(self): pass\n    def orphan(self): pass\n"
+              "class Dropped:\n    pass\n"
+              "def stored(): pass\n")
+    reader = ("from m import unused\nused()\nKept().method()\n"
+              "TARGETS = [('m', None, 'traced')]\nstored = 1\nx.Dropped = 2\n")
+    read = reads(source) | reads(reader)
+    assert uncalled(source, read) == [
+        (3, "unused"), (8, "Kept.orphan"), (9, "Dropped"), (11, "stored")]
+
+
+def test_no_definitions_without_a_caller():
+    assert SOURCES and READERS
+    read = set().union(*(reads(path.read_text()) for path in READERS))
+    found = ["%s:%d %s" % (path.name, line, name)
+             for path in SOURCES
+             for line, name in uncalled(path.read_text(), read)]
+    assert not found, "definitions nothing calls: " + ", ".join(found)
+
+
+def test_tracer_targets_exist():
+    """Each entry point perfbench/tracer.py wraps is where it looks for it:
+    a module attribute, or a method in its class's own ``__dict__``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for name, module, cls, attr, _, _ in tracer.TARGETS:
+        mod = importlib.import_module("%s.%s" % (tracer.PACKAGE, module))
+        if cls is None:
+            ok = callable(getattr(mod, attr, None))
+        else:
+            ok = attr in vars(getattr(mod, cls, object))
+        if not ok:
+            missing.append(name)
+    missing += ["exact.GradedVector." + attr for attr in tracer.VECTOR_OPS
+                if attr not in vars(GradedVector)]
+    assert not missing, "tracer targets missing: " + ", ".join(missing)

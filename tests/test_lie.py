@@ -12,8 +12,7 @@ from hochduflo.liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
                               adjoint_action_ug, ce_differential,
                               ce_module_sym, ce_module_trivial, ce_module_ug,
                               cocontract, contract, invariants_basis,
-                              pair_dual_vec, pair_vec_dual, pbw_map,
-                              tensor_pair_vec_dual)
+                              pair_dual_vec, pair_vec_dual, pbw_map)
 
 from oracles import pbw_normal_oracle, sym_pair_oracle
 

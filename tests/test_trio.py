@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from hochduflo.exact import (GradedMap, GradedVector, StructuralError,
-                             derive_seed, random_vector)
+                             WindowOverflow, derive_seed, random_vector)
 from hochduflo.hochschild import (BimoduleOps, Cochain, hoch_d, hoch_partial,
                                   random_cochain)
 from hochduflo.keller import LieTriple
@@ -17,6 +17,8 @@ from hochduflo.trio import (ALinearEnds, BLinearEnds, EndCochain, TrioCochain,
                             d_right, d_xb, del_x, embed_trio, phi_embed,
                             project_a, project_b, psi_embed, rho_a_star,
                             semidirect_algebra, trio_differential)
+
+from oracles import old_d_left, old_d_right, old_del_x
 
 
 def test_semidirect_is_dg_algebra(aff1):
@@ -166,7 +168,6 @@ def test_window_violations_raise(aff1):
     f = XCochain(triple.A, triple.X, triple.B, 0, 0, 0, seed=1,
                  label="overflow")
     top = ((0, 0), ())
-    from hochduflo.exact import WindowOverflow
     with pytest.raises(WindowOverflow):
         d_left(f).value(((0,),), top, ())
 
@@ -186,3 +187,82 @@ def test_end_differential_keeps_window_coverage(aff1):
     empty = g.value_with_slot((), GradedVector.zero(B.space), ((0,),))
     assert empty.is_zero() and empty.shift == 1
     assert hoch_d(g, ALinearEnds(B, X)).value(((0,), (1,), ())).shift == 2
+
+
+def _outcome(cochain, aw, xk, bw):
+    try:
+        return cochain.value(aw, xk, bw)
+    except WindowOverflow:
+        return WindowOverflow
+
+
+@pytest.mark.parametrize("lie", ["aff1", "sl2"])
+def test_flat_word_differentials_match_the_letter_kind_oracle(lie, request):
+    """d_left, d_right and del_x read on flat words give the values of the
+    letter-kind-by-letter-kind formulas, and refuse the same words."""
+    triple = LieTriple(request.getfixturevalue(lie), 4)
+    A, X, B = triple.A, triple.X, triple.B
+    rng = random.Random(derive_seed("flat", lie))
+    whole = (A.space.keys, X.space.keys, B.space.keys)
+    # mostly letters of PBW length <= 1, so that products stay in the window
+    small = ([k for k in whole[0] if len(k) <= 1],
+             [k for k in whole[1] if len(k[0]) <= 1], whole[2])
+    narrow = [k for k in whole[1] if len(k[0]) <= 2]
+
+    def letters(kind, n):
+        return tuple(rng.choice((whole if rng.random() < 0.2 else small)[kind])
+                     for _ in range(n))
+
+    seen = {}
+    for p in range(3):
+        for q in range(3 - p):
+            for r in (-1, 0):
+                for value_keys in (None, narrow):
+                    fX = XCochain(A, X, B, p, q, r, seed=derive_seed(p, q, r),
+                                  value_keys=value_keys, label="flat" + lie)
+                    for new, old in ((d_left, old_d_left),
+                                     (d_right, old_d_right),
+                                     (del_x, old_del_x)):
+                        got, want = new(fX), old(fX)
+                        assert (got.p, got.q, got.r) == \
+                            (want.p, want.q, want.r)
+                        for _ in range(6):
+                            aw, (xk,), bw = (letters(0, got.p), letters(1, 1),
+                                             letters(2, got.q))
+                            value = _outcome(got, aw, xk, bw)
+                            assert value == _outcome(want, aw, xk, bw), \
+                                (new.__name__, p, q, r, aw, xk, bw)
+                            kind = ("overflow" if value is WindowOverflow
+                                    else "value" if value else "zero")
+                            seen[new.__name__, kind] = True
+    # every component met non-zero values; refusals were met too
+    assert all(seen.get((name, "value")) for name in
+               ("d_left", "d_right", "del_x")), seen
+    assert seen.get(("d_left", "overflow")) and \
+        seen.get(("del_x", "overflow")), seen
+
+
+@pytest.mark.parametrize("lie", ["aff1", "sl2"])
+def test_value_with_slot_is_linear_at_every_flat_position(lie, request):
+    triple = LieTriple(request.getfixturevalue(lie), 4)
+    A, X, B = triple.A, triple.X, triple.B
+    rng = random.Random(derive_seed("slot", lie))
+    nonzero = 0
+    for p in range(3):
+        for q in range(3 - p):
+            fX = XCochain(A, X, B, p, q, 0, seed=derive_seed("slot", p, q),
+                          label="slot%s" % lie)
+            spaces = (A.space,) * p + (X.space,) + (B.space,) * q
+            w = tuple(rng.choice(space.keys) for space in spaces)
+            for i, space in enumerate(spaces):
+                keys = rng.sample(space.keys, 3)
+                vec = GradedVector(space, {k: Q(rng.randint(1, 5))
+                                           for k in keys})
+                want = GradedVector.zero(X.space)
+                for k, c in vec.coeffs.items():
+                    flat = w[:i] + (k,) + w[i + 1:]
+                    want.add_inplace(
+                        fX.value(flat[:p], flat[p], flat[p + 1:]), c)
+                assert fX.value_with_slot(w[:i], vec, w[i + 1:]) == want
+                nonzero += bool(want)
+    assert nonzero
