@@ -8,10 +8,9 @@ correspondence) agree class by class, and dropping it breaks the class
 comparison too.  Every number below is an exact rational.
 """
 
-from hochduflo.exact import GradedVector
 from hochduflo.liealg import (LieAlgebra, ce_module_sym, invariants_basis,
                               pbw_map)
-from hochduflo.duflo import (DufloContext, duflo_series, hkr,
+from hochduflo.duflo import (DufloContext, duflo_series,
                              lift_central_through_projection, lift_residuals,
                              series_contraction, todd_determinant)
 

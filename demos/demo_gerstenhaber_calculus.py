@@ -8,10 +8,9 @@ arithmetic; every printed identity holds on the nose.
 
 from hochduflo.liealg import LieAlgebra, OddSym, DualOdd
 from hochduflo.hochschild import (BimoduleOps, cup, dual_odd_algebra,
-                                  gerstenhaber, hoch_d, hoch_partial,
-                                  identity_cochain, interior_hh,
-                                  multiplication_cochain, random_cochain,
-                                  unit_cochain, words_of)
+                                  gerstenhaber, hoch_d, identity_cochain,
+                                  interior_hh, multiplication_cochain,
+                                  random_cochain, unit_cochain, words_of)
 
 g = LieAlgebra.aff1()
 B = dual_odd_algebra(DualOdd(g), OddSym(g))

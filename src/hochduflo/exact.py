@@ -16,6 +16,7 @@ combination divided by its content so entries stay integral and small.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -37,6 +38,31 @@ class WindowOverflow(Exception):
     Raised instead of silently dropping terms; callers choose windows large
     enough for the identity at hand.
     """
+
+
+def key_memo(method):
+    """Memoize a pure key-level map of a window object, per instance.
+
+    The table is the dict ``_memo_<name>`` on the instance, keyed by the
+    argument tuple, so it lives and dies with the window.  A refusal
+    (``WindowOverflow``) propagates before anything is stored and is raised
+    again on the next call.  Results are shared, not copied: every caller
+    gets the same vector and only reads it.  The undecorated method is
+    ``__wrapped__``.
+    """
+    attr = "_memo_" + method.__name__
+
+    @functools.wraps(method)
+    def memoized(self, *keys):
+        try:
+            return self.__dict__[attr][keys]
+        except KeyError:
+            pass
+        got = method(self, *keys)
+        self.__dict__.setdefault(attr, {})[keys] = got
+        return got
+
+    return memoized
 
 
 def as_q(x) -> Fraction:

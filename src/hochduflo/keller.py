@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .signs import sgn
 from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
-                    StructuralError, WindowOverflow, derive_seed,
+                    StructuralError, WindowOverflow, derive_seed, key_memo,
                     random_vector, rows_solve)
 from .liealg import LieAlgebra, UgWindow, OddSym, DualOdd, contract, cocontract
 from .hochschild import (DgAlgebra, WordCochain, dual_odd_algebra, hoch_d,
@@ -70,8 +70,12 @@ class LieTriple:
             out.add_term((u, k), c)
         return out
 
+    @key_memo
     def _d_x_key(self, x_key) -> GradedVector:
-        """d_X(u (x) x_1...x_n): the Koszul term plus the bracket term."""
+        """d_X(u (x) x_1...x_n): the Koszul term plus the bracket term.
+
+        Memoized per window: the result is shared and read-only.
+        """
         u, x = x_key
         n = len(x)
         out = GradedVector.zero(self.x_space)

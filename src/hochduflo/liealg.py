@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 
 from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, as_q, bilinear,
-                    kernel_basis)
+                    kernel_basis, key_memo)
 from .series import PolyTrunc
 from .signs import sgn, koszul_sign, sort_monomial, unshuffles, unshuffle_sign, \
     tensor_interleave_sign
@@ -264,11 +264,13 @@ class OddSym:
     def mul(self, v, w):
         return bilinear(self.mul_keys, self.space, v, w)
 
+    @key_memo
     def coderivation_bracket_key(self, key) -> GradedVector:
         """The bracket coderivation on S(g[1]) on a basis monomial.
 
         Sends x_1 ... x_n to sum_{i<j} (-1)^{i+j} [x_i, x_j]-slot prepended to
-        the remaining word (indices 1-based).
+        the remaining word (indices 1-based).  Memoized per window: the
+        result is shared and read-only.
         """
         key = tuple(key)
         n = len(key)
@@ -324,7 +326,10 @@ class DualOdd:
     def unit(self):
         return GradedVector.basis(self.space, ())
 
+    @key_memo
     def mul_keys(self, k1, k2) -> GradedVector:
+        """Product of two dual monomials; memoized per window, so the
+        result is shared and read-only."""
         key, sign = sort_monomial(tuple(k1) + tuple(k2), lambda _i: 1,
                                   descending=True)
         if key is None:

@@ -152,6 +152,11 @@ class XCochain:
         """Multilinear evaluation on the flat words before + (k,) + after."""
         out = GradedVector.zero(self.X.space)
         before, after, p = tuple(before), tuple(after), self.p
+        if len(before) == p:
+            # the slot is the X letter: the pieces are already split
+            for k, c in vec.coeffs.items():
+                out.add_inplace(self.value(before, k, after), c)
+            return out
         for k, c in vec.coeffs.items():
             w = before + (k,) + after
             out.add_inplace(self.value(w[:p], w[p], w[p + 1:]), c)

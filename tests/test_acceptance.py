@@ -8,23 +8,17 @@ truncation is silent, and out-of-window requests raise instead of dropping.
 """
 
 import json
-import random
 import time
-from fractions import Fraction as Q
 from pathlib import Path
 
-import pytest
-
-from hochduflo.exact import (GradedVector, derive_seed, random_vector)
-from hochduflo.liealg import (LieAlgebra, ce_module_sym, invariants_basis,
-                              pbw_map)
+from hochduflo.exact import derive_seed
+from hochduflo.liealg import LieAlgebra
 from hochduflo.keller import LieTriple, row_exactness_certificate
 from hochduflo.suites import (suite_duflo_endgame, suite_duflo_maps,
                               suite_hochschild_axioms, suite_homotopy_identity,
                               suite_phi_psi, suite_sum_example,
                               suite_topform_sweep, suite_trio,
                               suite_vanishing)
-from hochduflo import duflo as D
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -13,11 +13,9 @@ from hochduflo.coalgebra import (ConvolutionAlgebra, SymCoalgebra,
                                  twisted_tensor_differential)
 from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
                              StructuralError, derive_seed, random_vector)
-from hochduflo.hochschild import (BimoduleOps, Cochain, cup, dual_odd_algebra,
-                                  gerstenhaber, hoch_d, hoch_partial,
-                                  multiplication_cochain, random_cochain,
-                                  words_of)
-from hochduflo.liealg import LieAlgebra, OddSym, DualOdd, UgWindow
+from hochduflo.hochschild import (cup, dual_odd_algebra, gerstenhaber,
+                                  multiplication_cochain, random_cochain)
+from hochduflo.liealg import OddSym, DualOdd, UgWindow
 from hochduflo.keller import LieTriple
 from hochduflo.signs import sgn
 

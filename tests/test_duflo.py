@@ -4,11 +4,8 @@ pullback homotopy, and the endgame certificates."""
 import random
 from fractions import Fraction as Q
 
-import pytest
-
-from hochduflo.exact import (GradedMap, GradedVector, derive_seed,
-                             random_vector)
-from hochduflo.liealg import (LieAlgebra, SymPoly, UgWindow, ce_module_sym,
+from hochduflo.exact import GradedVector
+from hochduflo.liealg import (LieAlgebra, SymPoly, ce_module_sym,
                               interior_product, invariants_basis, pbw_map)
 from hochduflo.series import PolyTrunc, duflo_log_coefficients
 from hochduflo.duflo import (DufloContext, PolyVectors, duflo_series, hkr,
@@ -17,8 +14,7 @@ from hochduflo.duflo import (DufloContext, PolyVectors, duflo_series, hkr,
                              phi2_tilde, random_pullback_element,
                              series_contraction, todd_determinant,
                              trace_ad_powers, atiyah_cocycle)
-from hochduflo.suites import (suite_duflo_maps, suite_homotopy_identity,
-                              suite_duflo_endgame)
+from hochduflo.suites import suite_duflo_maps, suite_homotopy_identity
 
 from oracles import duflo_log_oracle
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
                              StructuralError, WindowOverflow, ComplexSlice,
-                             cohomology_slice, derive_seed, kernel_basis,
-                             random_vector, rank_on_slice, rows_nullspace,
-                             rows_rank, rows_solve)
-from hochduflo.liealg import LieAlgebra, OddSym, DualOdd
+                             cohomology_slice, kernel_basis, random_vector,
+                             rank_on_slice, rows_nullspace, rows_rank,
+                             rows_solve)
+from hochduflo.liealg import OddSym, DualOdd
 from hochduflo.keller import LieTriple
 
 from oracles import (dense_rows_nullspace, dense_rows_rank, dense_rows_solve,

@@ -1,19 +1,16 @@
 """Hochschild calculus over finite dg algebras: formulas and cohomology."""
 
 import random
-from fractions import Fraction as Q
 
 import pytest
 
-from hochduflo.exact import (BasisSpace, GradedVector, StructuralError,
-                             derive_seed)
+from hochduflo.exact import GradedVector, StructuralError
 from hochduflo.hochschild import (BimoduleOps, Cochain, circ, cup,
-                                  differential_cochain, dual_odd_algebra,
-                                  gerstenhaber, ground_field, hoch_d,
-                                  hoch_partial, identity_cochain, interior_hh,
-                                  multiplication_cochain, random_cochain,
-                                  unit_cochain, words_of)
-from hochduflo.liealg import LieAlgebra, OddSym, DualOdd
+                                  dual_odd_algebra, gerstenhaber, ground_field,
+                                  hoch_d, hoch_partial, identity_cochain,
+                                  interior_hh, multiplication_cochain,
+                                  random_cochain, unit_cochain, words_of)
+from hochduflo.liealg import OddSym, DualOdd
 from hochduflo.suites import suite_hochschild_axioms
 from hochduflo.signs import sgn
 

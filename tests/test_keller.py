@@ -9,13 +9,17 @@ from hochduflo.exact import (GradedMap, GradedVector, StructuralError,
                              WindowOverflow, derive_seed, random_vector)
 from hochduflo.keller import (AbelianActionCone, AugmentationCone, LieTriple,
                               ModuleCochain, frak_h_sequence,
-                              frak_h_vanishing_index, kernel_dimension_match,
+                              kernel_dimension_match,
                               row_exactness_certificate)
-from hochduflo.liealg import LieAlgebra, cocontract, contract
+from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, ce_module_sym,
+                              cocontract, contract, invariants_basis, pbw_map)
 from hochduflo.hochschild import hoch_d, hoch_partial, ug_algebra
 from hochduflo.signs import sgn
-from hochduflo.trio import XCochain, d_left, d_right
+from hochduflo.trio import XCochain
 from hochduflo.suites import suite_vanishing
+from hochduflo.duflo import (DufloContext, duflo_series,
+                             lift_central_through_projection, lift_residuals,
+                             random_pullback_element, series_contraction)
 
 
 def test_build_triple_rejects_bad_jacobi():
@@ -351,3 +355,81 @@ def test_frak_h_master_identity():
 def test_vanishing_suite(aff1):
     report = suite_vanishing(aff1, depth=4, seed=0)
     assert report.ok, [(c.name, c.witness) for c in report.checks if not c.ok]
+
+
+# -- the key-level memo tables ----------------------------------------------
+
+def memo_args(obj):
+    """(method, argument tuples) of every window map of ``obj`` whose
+    memoized value can be checked against ``__wrapped__``."""
+    if isinstance(obj, LieTriple):
+        return LieTriple._d_x_key, [(k,) for k in obj.x_space.keys]
+    if isinstance(obj, DualOdd):
+        keys = obj.space.keys
+        return DualOdd.mul_keys, [(k1, k2) for k1 in keys for k2 in keys]
+    return OddSym.coderivation_bracket_key, [(k,) for k in obj.space.keys]
+
+
+def memo_table(obj, method):
+    """The memo table ``exact.key_memo`` keeps on ``obj`` for ``method``."""
+    return vars(obj).get("_memo_" + method.__name__, {})
+
+
+def uncached(method, obj, args):
+    """The value of the undecorated map, or the refusal it raises."""
+    try:
+        return method.__wrapped__(obj, *args)
+    except WindowOverflow as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", ["sl2", "heisenberg3"])
+def test_memoized_maps_match_uncached(name):
+    """Every window key gives the uncached value through the memo, a hit
+    hands out the stored vector, and a refusal is raised again each time
+    without ever being stored."""
+    triple = LieTriple(getattr(LieAlgebra, name)(), 3)
+    refused = 0
+    for obj in (triple, triple.dual, triple.odd):
+        method, arg_list = memo_args(obj)
+        for args in arg_list:
+            want = uncached(method, obj, args)
+            if want is WindowOverflow:
+                refused += 1
+                for _ in range(2):
+                    with pytest.raises(WindowOverflow):
+                        method(obj, *args)
+                assert args not in memo_table(obj, method)
+                continue
+            got = method(obj, *args)
+            assert got == want, (method.__name__, args)
+            assert method(obj, *args) is got
+    assert refused      # the keys of top PBW length with an odd factor
+
+
+def test_memo_tables_survive_a_lift_and_a_certificate_sweep(heis3):
+    """After an endgame-shaped lift, its residual sweep, a pullback
+    homotopy identity and a row certificate, every stored value still
+    equals a fresh uncached one: no caller mutated a shared vector."""
+    ctx = DufloContext(heis3, pbw_cap=6, sym_cap=4)
+    _J, Js = duflo_series(heis3, 4)
+    inv = invariants_basis(heis3, ce_module_sym(ctx.sym), 0)
+    quad = [v for v in inv if v.coeffs and all(len(k) == 2 for k in v.coeffs)]
+    u0 = pbw_map(ctx.sym, ctx.ug, series_contraction(ctx.sym, Js, quad[0]))
+    comps, fB = lift_central_through_projection(ctx, u0, depth=5,
+                                                max_extra=1)
+    x_keys = [k for k in ctx.X.space.keys if len(k[0]) + len(k[1]) <= 2]
+    assert lift_residuals(ctx, u0, comps, fB, x_keys) == []
+    e = random_pullback_element(ctx, 2, seed=3)
+    assert ctx.homotopy_identity_residual(e, 2).is_zero()
+    assert row_exactness_certificate(ctx.triple, "R", 1, 1, 0, seed=4,
+                                     n_inputs=20) == []
+    checked = 0
+    for obj in (ctx.triple, ctx.dual, ctx.odd, ctx.tp.dual):
+        method, _ = memo_args(obj)
+        table = memo_table(obj, method)
+        for args, got in table.items():
+            assert got == method.__wrapped__(obj, *args), (
+                method.__name__, args)
+        checked += len(table)
+    assert checked

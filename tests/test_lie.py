@@ -6,13 +6,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hochduflo.exact import (GradedMap, GradedVector, StructuralError,
-                             WindowOverflow, derive_seed, random_vector)
+from hochduflo.exact import (GradedMap, GradedVector, WindowOverflow,
+                             derive_seed, random_vector)
 from hochduflo.liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
                               adjoint_action_ug, ce_differential,
                               ce_module_sym, ce_module_trivial, ce_module_ug,
-                              cocontract, contract, invariants_basis,
-                              pair_dual_vec, pair_vec_dual, pbw_map)
+                              contract, invariants_basis, pair_dual_vec,
+                              pair_vec_dual, pbw_map)
 
 from oracles import pbw_normal_oracle, sym_pair_oracle
 

@@ -3,6 +3,8 @@
 import random
 from itertools import permutations
 
+from hypothesis import given, settings, strategies as st
+
 from hochduflo.signs import (koszul_sign, perm_parity, sgn, sort_monomial,
                              tensor_interleave_sign, unshuffle_sign,
                              unshuffles)
@@ -45,6 +47,52 @@ def test_sort_monomial_odd_square_is_zero():
     assert key == (1, 3) and sign == 1
     key, sign = sort_monomial((1, 3), lambda i: 1, descending=True)
     assert key == (3, 1) and sign == -1
+
+
+@st.composite
+def graded_words(draw):
+    """A word over letters 0..5, each with a degree in -2..2."""
+    degrees = draw(st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+    word = draw(st.lists(st.integers(0, 5), max_size=7))
+    return degrees, word
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graded_words(), st.booleans())
+def test_sort_monomial_sign_is_koszul_of_its_sorting_permutation(
+        graded, descending):
+    degrees, word = graded
+    # keep the first occurrence of each odd letter
+    word = [x for i, x in enumerate(word)
+            if not (degrees[x] % 2 and x in word[:i])]
+    key, sign = sort_monomial(word, degrees.__getitem__, descending)
+    perm = sorted(range(len(word)), key=word.__getitem__, reverse=descending)
+    assert key == tuple(word[i] for i in perm)
+    assert sign == koszul_sign([degrees[x] for x in word], perm)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graded_words(), st.booleans())
+def test_sort_monomial_is_zero_exactly_when_an_odd_letter_repeats(
+        graded, descending):
+    degrees, word = graded
+    odd = [x for x in word if degrees[x] % 2]
+    key, sign = sort_monomial(word, degrees.__getitem__, descending)
+    assert ((key, sign) == (None, 0)) == (len(set(odd)) < len(odd))
+
+
+@st.composite
+def permutation_pairs(draw):
+    n = draw(st.integers(0, 7))
+    return draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(permutation_pairs())
+def test_perm_parity_is_multiplicative(pair):
+    p, q = pair
+    composed = [p[q[i]] for i in range(len(p))]
+    assert perm_parity(composed) == perm_parity(p) * perm_parity(q)
 
 
 def test_unshuffles_match_combinations():

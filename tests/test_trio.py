@@ -5,17 +5,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hochduflo.exact import (GradedMap, GradedVector, StructuralError,
-                             WindowOverflow, derive_seed, random_vector)
+from hochduflo.exact import (GradedMap, GradedVector, WindowOverflow,
+                             derive_seed)
 from hochduflo.hochschild import (BimoduleOps, Cochain, hoch_d, hoch_partial,
                                   random_cochain)
 from hochduflo.keller import LieTriple
-from hochduflo.liealg import LieAlgebra
 from hochduflo.suites import suite_trio, suite_phi_psi
 from hochduflo.trio import (ALinearEnds, BLinearEnds, EndCochain, TrioCochain,
-                            XCochain, d_ax, d_left,
-                            d_right, d_xb, del_x, embed_trio, phi_embed,
-                            project_a, project_b, psi_embed, rho_a_star,
+                            XCochain, d_ax, d_left, d_right, del_x, embed_trio,
+                            phi_embed, project_a, psi_embed, rho_a_star,
                             semidirect_algebra, trio_differential)
 
 from oracles import old_d_left, old_d_right, old_del_x
