@@ -56,9 +56,9 @@ def load_lie_algebra(path_or_name) -> LieAlgebra:
     return g
 
 
-def _print_report(report, as_json):
+def _print_report(report, as_json, timings=False):
     if as_json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report.to_dict(timings), indent=2, sort_keys=True))
         return
     print("suite %-22s %s" % (report.suite,
                               "pass" if report.ok else "FAIL"))
@@ -78,7 +78,7 @@ def cmd_suite(args):
                           seed=args.seed, trials=args.trials)
     ok = True
     for r in reports:
-        _print_report(r, args.json)
+        _print_report(r, args.json, args.timings)
         ok = ok and r.ok
     return 0 if ok else 1
 
@@ -193,6 +193,9 @@ def build_parser():
     p.add_argument("--series-order", type=int, default=4, dest="series_order")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--timings", action="store_true",
+                   help="add each check's wall-clock seconds to the JSON "
+                        "report (no longer a pure function of the config)")
     p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("cohomology", help="cohomology dimension tables")

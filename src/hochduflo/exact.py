@@ -8,10 +8,17 @@ Three value types carry the whole package:
 * :class:`GradedMap` -- a degree-homogeneous sparse linear map, stored
   columnwise over source keys (an absent column is the zero column).
 
-Coefficients are arbitrary-precision rationals; there is no floating point
-anywhere.  Row reduction is sparse and fraction-free: rows are
-``{column: int}`` dicts, eliminated column by column from the left, each
-combination divided by its content so entries stay integral and small.
+Coefficients are arbitrary-precision rationals of type ``int`` or
+``Fraction``; there is no floating point anywhere.  An integer coefficient
+stays an ``int`` (no gcd, no allocation of a ``Fraction`` per ``+`` or
+``*``) until a division makes it a ``Fraction``, and every division goes
+through :func:`qdiv`, because ``int / int`` is a float.  Equal values of
+the two types compare and hash equal, so vectors, dict keys and printed
+reports do not see the difference.
+
+Row reduction is sparse and fraction-free: rows are ``{column: int}`` dicts,
+eliminated column by column from the left, each combination divided by its
+content so entries stay integral and small.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from heapq import heappop, heappush
 from math import gcd, lcm
 
 Q = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class StructuralError(Exception):
@@ -65,14 +72,27 @@ def key_memo(method):
     return memoized
 
 
-def as_q(x) -> Fraction:
+def as_q(x) -> int | Fraction:
+    """An exact rational coefficient: ``int`` or ``Fraction``, never float.
+
+    Ints are returned unchanged (a ``bool`` becomes its ``int``), strings
+    such as ``"3/4"`` are parsed, anything else is refused.
+    """
+    t = type(x)
+    if t is int or t is Fraction:
+        return x
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
         return Fraction(x)
     raise StructuralError("coefficients must be rational, got %r" % (x,))
+
+
+def qdiv(a, b) -> Fraction:
+    """The exact quotient ``a / b`` of two rationals; the one division."""
+    return Fraction(a) / b
 
 
 class BasisSpace:
@@ -177,7 +197,7 @@ class GradedVector:
     def items(self):
         return self.coeffs.items()
 
-    def coeff(self, key) -> Fraction:
+    def coeff(self, key) -> int | Fraction:
         return self.coeffs.get(key, ZERO)
 
     def copy(self):
@@ -543,7 +563,7 @@ def _back_substitute(echelon, pivots, fixed, ncols):
             if x is not None:
                 s += v * x
         if s:
-            sol[pivots[i]] = -s / row[pivots[i]]
+            sol[pivots[i]] = qdiv(-s, row[pivots[i]])
     out = [ZERO] * ncols
     for j, x in sol.items():
         if j < ncols:
@@ -738,5 +758,5 @@ def random_vector(space: BasisSpace, degree: int, seed: int) -> GradedVector:
     for key in keys:
         c = rng.randint(-3, 3)
         if c:
-            v.coeffs[key] = Fraction(c)
+            v.coeffs[key] = c
     return v

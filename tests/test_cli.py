@@ -8,6 +8,7 @@ import pytest
 
 from hochduflo.cli import build_parser, load_lie_algebra, main
 from hochduflo.exact import StructuralError
+from hochduflo.suites import run_suite
 
 
 def run_cli(args):
@@ -93,6 +94,22 @@ def test_json_flag_after_subcommand():
     assert after.stdout == before.stdout
     assert json.loads(after.stdout)["suite"] == "sum-example"
     assert build_parser().parse_args(["suite", "sum-example"]).json is False
+
+
+def test_timings_are_opt_in(capsys):
+    args = ["suite", "sum-example", "--lie", "abelian1", "--json"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    canonical = "".join(json.dumps(r.to_dict(), indent=2, sort_keys=True)
+                        + "\n" for r in run_suite(
+                            "sum-example", lie=load_lie_algebra("abelian1")))
+    assert plain == canonical
+    assert main(args + ["--timings"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert timed["checks"]
+    for check in timed["checks"]:
+        assert isinstance(check.pop("seconds"), float)
+    assert timed == json.loads(plain)
 
 
 @pytest.mark.parametrize("content", [

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
                              StructuralError, WindowOverflow, ComplexSlice,
-                             cohomology_slice, kernel_basis, random_vector,
-                             rank_on_slice, rows_nullspace, rows_rank,
-                             rows_solve)
+                             bilinear, cohomology_slice, kernel_basis,
+                             random_vector, rank_on_slice, rows_nullspace,
+                             rows_rank, rows_solve)
 from hochduflo.liealg import OddSym, DualOdd
 from hochduflo.keller import LieTriple
 
@@ -218,21 +218,23 @@ def test_fraction_free_solver_agrees_with_plain_gauss():
 @st.composite
 def sparse_systems(draw):
     """A sparse rational matrix of 0-12 rows and columns with a right-hand
-    side: fractional entries, zero and duplicate rows, and a right-hand side
-    that is either the image of a rational vector or drawn freely."""
+    side: fractional and plain ``int`` entries and zeros, zero and duplicate
+    rows, and a right-hand side that is either the image of a rational
+    vector or drawn freely."""
     ncols = draw(st.integers(0, 12))
     fill = draw(st.integers(1, 10))
-    entry = st.fractions(-6, 6, max_denominator=4)
+    entry = st.fractions(-6, 6, max_denominator=4) | st.integers(-6, 6)
+    zero = st.sampled_from([0, Q(0)])
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["random", "random", "zero", "duplicate"]))
         if kind == "zero":
-            rows.append([Q(0)] * ncols)
+            rows.append([draw(zero)] * ncols)
         elif kind == "duplicate" and rows:
             rows.append(list(draw(st.sampled_from(rows))))
         else:
             rows.append([draw(entry) if draw(st.integers(1, 10)) <= fill
-                         else Q(0) for _ in range(ncols)])
+                         else draw(zero) for _ in range(ncols)])
     if draw(st.booleans()):
         x = [draw(entry) for _ in range(ncols)]
         rhs = [sum((a * b for a, b in zip(row, x)), Q(0)) for row in rows]
@@ -246,8 +248,54 @@ def sparse_systems(draw):
 def test_sparse_elimination_matches_dense_bareiss(system):
     rows, ncols, rhs = system
     assert rows_rank(rows) == dense_rows_rank(rows)
-    assert rows_nullspace(rows, ncols) == dense_rows_nullspace(rows, ncols)
-    assert rows_solve(rows, rhs) == dense_rows_solve(rows, rhs)
+    nullspace = rows_nullspace(rows, ncols)
+    assert nullspace == dense_rows_nullspace(rows, ncols)
+    solution = rows_solve(rows, rhs)
+    assert solution == dense_rows_solve(rows, rhs)
+    for vec in nullspace + [solution or []]:
+        assert all(type(x) in (int, Q) for x in vec)
+
+
+# -- int-first coefficients against all-Fraction copies --------------------
+
+MIXED = BasisSpace("M", [((i,), 0) for i in range(4)])
+MIXED_COEFFS = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=3)
+mixed_vectors = st.dictionaries(st.sampled_from(MIXED.keys), MIXED_COEFFS,
+                                max_size=4).map(
+    lambda coeffs: GradedVector(MIXED, coeffs))
+
+
+def as_fractions(v):
+    return GradedVector(MIXED, {k: Q(c) for k, c in v.coeffs.items()})
+
+
+def mixed_mul_keys(k1, k2):
+    """A product on MIXED with int, Fraction and zero structure constants."""
+    i, j = k1[0], k2[0]
+    c = (i - j) // 2 if (i + j) % 2 else Q(i + 1, j + 2)
+    return GradedVector(MIXED, {((i + j) % 4,): c})
+
+
+def fraction_mul_keys(k1, k2):
+    return as_fractions(mixed_mul_keys(k1, k2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mixed_vectors, mixed_vectors, MIXED_COEFFS,
+       st.sampled_from(MIXED.keys))
+def test_mixed_int_and_fraction_coefficients(v, w, c, key):
+    """Every stored coefficient is exactly an ``int`` or a ``Fraction`` and
+    non-zero, and each operation equals the same one on Fraction copies."""
+    qv, qw, qc = as_fractions(v), as_fractions(w), Q(c)
+    pairs = [(v + w, qv + qw), (v - w, qv - qw), (v.scale(c), qv.scale(qc)),
+             (v.copy().add_inplace(w, c), qv.copy().add_inplace(qw, qc)),
+             (v.copy().add_term(key, c), qv.copy().add_term(key, qc)),
+             (bilinear(mixed_mul_keys, MIXED, v, w),
+              bilinear(fraction_mul_keys, MIXED, qv, qw))]
+    for got, want in pairs:
+        assert got == want
+        for x in got.coeffs.values():
+            assert type(x) in (int, Q) and x != 0
 
 
 # -- coverage propagation through sums, scalings and compositions ----------

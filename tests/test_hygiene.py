@@ -1,5 +1,6 @@
 """Source hygiene: no unused top-level import, no definition without a
-caller, and every entry point the benchmark's tracer wraps still exists."""
+caller, no true division outside ``exact.qdiv``, and every entry point the
+benchmark's tracer wraps still exists."""
 
 import ast
 import importlib.util
@@ -10,7 +11,7 @@ from hochduflo.exact import GradedVector
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "hochduflo").glob("*.py"))
 # the files kept free of unused imports
-IMPORTERS = SOURCES + sorted(path for tree in ("tests", "demos")
+IMPORTERS = SOURCES + sorted(path for tree in ("tests", "demos", "tools")
                              for path in (ROOT / tree).glob("*.py"))
 # every file whose reads count as a caller; this file is left out, so the
 # names in its scanner fixtures call nothing
@@ -120,6 +121,41 @@ def test_no_definitions_without_a_caller():
              for path in SOURCES
              for line, name in uncalled(path.read_text(), read)]
     assert not found, "definitions nothing calls: " + ", ".join(found)
+
+
+def true_divisions(source, exempt=None):
+    """Lines of the ``/`` and ``/=`` operators of a module, leaving out the
+    body of its top-level function named ``exempt``."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == exempt
+              for node in ast.walk(top)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div) and id(node) not in inside)
+
+
+def test_division_scanner_sees_binop_and_augassign():
+    source = ("def qdiv(a, b):\n    return F(a) / b\n"
+              "half = 1 / 2\nfloor = 7 // 2\n"
+              "def f(z):\n    z /= 3\n    return qdiv(z, 2)\n"
+              "class C:\n    def qdiv(self, a):\n        return a / 2\n")
+    assert true_divisions(source, exempt="qdiv") == [3, 6, 10]
+    assert true_divisions(source) == [2, 3, 6, 10]
+
+
+def test_no_true_division_outside_qdiv():
+    """``int / int`` is a float, so every division goes through the exact
+    ``exact.qdiv``, and that function holds the package's one ``/``."""
+    assert SOURCES
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in SOURCES
+             for line in true_divisions(
+                 path.read_text(),
+                 exempt="qdiv" if path.name == "exact.py" else None)]
+    assert not found, "true division outside exact.qdiv: " + ", ".join(found)
+    exact = ROOT / "src" / "hochduflo" / "exact.py"
+    assert len(true_divisions(exact.read_text())) == 1
 
 
 def test_tracer_targets_exist():
