@@ -18,7 +18,7 @@ from math import factorial
 from .signs import sgn, perm_parity
 from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, bilinear, derive_seed,
-                    qdiv, random_vector)
+                    random_vector)
 from .series import PolyTrunc, duflo_log_coefficients, matrix_series_det
 from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, SymPoly,
                      interior_product, pair_dual_vec, pbw_map, ce_differential,
@@ -263,7 +263,7 @@ class PolyVectors:
             if len(items) != 1:
                 raise StructuralError("phi_T is not monomial on %r" % (key,))
             hkey, c = items[0]
-            inverse_pairs[hkey] = (key, qdiv(ONE, c))
+            inverse_pairs[hkey] = (key, Q(1, c))
         for hkey in hom.keys:
             key, c = inverse_pairs[hkey]
             out.set_column(hkey, GradedVector.basis(self.space, key, c),
@@ -701,7 +701,7 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
                         "cannot absorb obstruction at %r" % (y,))
                 col = fB_cols.setdefault(q, {}).setdefault(
                     bw, GradedVector.zero(ctx.dual.space))
-                col.add_term(dkey, qdiv(ob, coeff))
+                col.add_term(dkey, Q(ob, coeff))
 
             sigma = null_homotopy(ctx, cone, target, sgn(q), absorb=absorb)
             if sigma.gen:

@@ -11,10 +11,10 @@ Three value types carry the whole package:
 Coefficients are arbitrary-precision rationals of type ``int`` or
 ``Fraction``; there is no floating point anywhere.  An integer coefficient
 stays an ``int`` (no gcd, no allocation of a ``Fraction`` per ``+`` or
-``*``) until a division makes it a ``Fraction``, and every division goes
-through :func:`qdiv`, because ``int / int`` is a float.  Equal values of
-the two types compare and hash equal, so vectors, dict keys and printed
-reports do not see the difference.
+``*``) until a division makes it a ``Fraction``.  Every division is
+written ``Q(a, b)``, never ``a / b``, because ``int / int`` is a float.
+Equal values of the two types compare and hash equal, so vectors, dict keys
+and printed reports do not see the difference.
 
 Row reduction is sparse and fraction-free: rows are ``{column: int}`` dicts,
 eliminated column by column from the left, each combination divided by its
@@ -88,11 +88,6 @@ def as_q(x) -> int | Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise StructuralError("coefficients must be rational, got %r" % (x,))
-
-
-def qdiv(a, b) -> Fraction:
-    """The exact quotient ``a / b`` of two rationals; the one division."""
-    return Fraction(a) / b
 
 
 class BasisSpace:
@@ -563,7 +558,7 @@ def _back_substitute(echelon, pivots, fixed, ncols):
             if x is not None:
                 s += v * x
         if s:
-            sol[pivots[i]] = qdiv(-s, row[pivots[i]])
+            sol[pivots[i]] = Q(-s, row[pivots[i]])
     out = [ZERO] * ncols
     for j, x in sol.items():
         if j < ncols:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import permutations
 from math import factorial
 
-from .exact import Q, ZERO, ONE, StructuralError, qdiv
+from .exact import Q, ZERO, ONE, StructuralError
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ def series_log(a, order):
     for n in range(1, order + 1):
         term = series_mul(term, u, order)
         sign = ONE if n % 2 else -ONE
-        out = [x + qdiv(sign * c, n) for x, c in zip(out, term)]
+        out = [x + Q(sign * c, n) for x, c in zip(out, term)]
     return out
 
 

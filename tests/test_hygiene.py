@@ -1,5 +1,5 @@
 """Source hygiene: no unused top-level import, no definition without a
-caller, no true division outside ``exact.qdiv``, and every entry point the
+caller, no true division in the package, and every entry point the
 benchmark's tracer wraps still exists."""
 
 import ast
@@ -123,39 +123,28 @@ def test_no_definitions_without_a_caller():
     assert not found, "definitions nothing calls: " + ", ".join(found)
 
 
-def true_divisions(source, exempt=None):
-    """Lines of the ``/`` and ``/=`` operators of a module, leaving out the
-    body of its top-level function named ``exempt``."""
-    tree = ast.parse(source)
-    inside = {id(node) for top in tree.body
-              if isinstance(top, ast.FunctionDef) and top.name == exempt
-              for node in ast.walk(top)}
-    return sorted(node.lineno for node in ast.walk(tree)
+def true_divisions(source):
+    """Lines of the ``/`` and ``/=`` operators of a module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, (ast.BinOp, ast.AugAssign))
-                  and isinstance(node.op, ast.Div) and id(node) not in inside)
+                  and isinstance(node.op, ast.Div))
 
 
 def test_division_scanner_sees_binop_and_augassign():
-    source = ("def qdiv(a, b):\n    return F(a) / b\n"
-              "half = 1 / 2\nfloor = 7 // 2\n"
-              "def f(z):\n    z /= 3\n    return qdiv(z, 2)\n"
-              "class C:\n    def qdiv(self, a):\n        return a / 2\n")
-    assert true_divisions(source, exempt="qdiv") == [3, 6, 10]
-    assert true_divisions(source) == [2, 3, 6, 10]
+    source = ("half = 1 / 2\nfloor = 7 // 2\n"
+              "def f(z):\n    z /= 3\n    return Q(z, 2)\n"
+              "class C:\n    def g(self, a):\n        return a / 2\n")
+    assert true_divisions(source) == [1, 4, 8]
 
 
-def test_no_true_division_outside_qdiv():
-    """``int / int`` is a float, so every division goes through the exact
-    ``exact.qdiv``, and that function holds the package's one ``/``."""
+def test_no_true_division_in_src():
+    """``int / int`` is a float, so the package has no ``/`` at all: every
+    exact quotient is written ``Q(a, b)``."""
     assert SOURCES
     found = ["%s:%d" % (path.relative_to(ROOT), line)
              for path in SOURCES
-             for line in true_divisions(
-                 path.read_text(),
-                 exempt="qdiv" if path.name == "exact.py" else None)]
-    assert not found, "true division outside exact.qdiv: " + ", ".join(found)
-    exact = ROOT / "src" / "hochduflo" / "exact.py"
-    assert len(true_divisions(exact.read_text())) == 1
+             for line in true_divisions(path.read_text())]
+    assert not found, "true division in src: " + ", ".join(found)
 
 
 def test_tracer_targets_exist():

@@ -7,8 +7,9 @@ Usage (from the root of a checkout)::
         --out BENCH_6.json
 
 For each workload and seed, one pair runs ``perfbench/run.py --workload W
---seed S --seconds 35 --trace 0`` once in each checkout, one after the
-other; the side that runs first alternates from pair to pair.  Each run
+--seed S --seconds T --trace 0`` once in each checkout, one after the
+other, with ``T`` the ``run_seconds`` of the change's ``BENCHMARK.json``;
+the side that runs first alternates from pair to pair.  Each run
 uses the ``perfbench/`` of its own checkout, so both sides must carry the
 same benchmark code.  The output holds every run's result line (the last
 line of ``run.py``'s standard output) and, per workload and end-to-end
@@ -96,15 +97,15 @@ def main(argv=None):
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seeds", default="1-10", type=parse_seeds,
                     help="seeds, one pair each: 1-10 or 1,4,7")
-    ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--out", required=True, type=Path,
                     help="the BENCH_<n>.json to write")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     record = {
-        "command": "perfbench/run.py --seconds %g --trace 0" % args.seconds,
+        "command": "perfbench/run.py --seconds %g --trace 0" % seconds,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "system": platform.platform()},
         "pairs": [], "summary": {}}
@@ -116,7 +117,7 @@ def main(argv=None):
             pair = {"workload": workload, "seed": seed, "first": first}
             for side in (first, second):
                 pair[side] = run_once(getattr(args, side), workload, seed,
-                                      args.seconds)
+                                      seconds)
             record["pairs"].append(pair)
             record["summary"] = summarize(record["pairs"], metrics)
             args.out.write_text(json.dumps(record, indent=1, sort_keys=True)
