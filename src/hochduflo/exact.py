@@ -118,12 +118,6 @@ class BasisSpace:
     def __contains__(self, key) -> bool:
         return key in self.degree
 
-    def degree_of(self, key) -> int:
-        try:
-            return self.degree[key]
-        except KeyError:
-            raise WindowOverflow("key %r outside window %s" % (key, self.name))
-
     def keys_of_degree(self, deg: int):
         if self._by_degree is None:
             table = {}

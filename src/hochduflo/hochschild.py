@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .signs import sgn
 from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
-                    bilinear, cohomology_slice, derive_seed, random_vector)
+                    bilinear, cohomology_slice, derive_seed, key_memo,
+                    random_vector)
 
 
 class TruncationWindow:
@@ -156,6 +157,8 @@ def seeded_value(space, r, value_keys, pieces, seed_parts) -> GradedVector:
     piece of the word; a letter outside its window gives zero.  Otherwise
     the value is the random vector of degree r + (word degree) seeded by
     ``derive_seed(*seed_parts)``, cut to ``value_keys`` when they are given.
+    ``Cochain`` and ``trio.XCochain`` memoize it per instance and word, so
+    each slice is drawn once and then handed out shared and read-only.
     """
     for letters, _, word in pieces:
         if letters is not None and any(k not in letters for k in word):
@@ -174,7 +177,9 @@ class Cochain(WordCochain):
     ``module`` only needs a ``space`` attribute here; bimodule actions enter
     through the operator evaluators.  Values outside the stored columns are
     zero unless the cochain carries a seed, in which case they are
-    deterministic seeded slices (used by the property harness).
+    deterministic seeded slices (used by the property harness), drawn once
+    per word and memoized on the instance: like the stored columns, they
+    are handed out shared and read-only.
     """
 
     def __init__(self, algebra: DgAlgebra, module, p: int, r: int,
@@ -201,6 +206,11 @@ class Cochain(WordCochain):
             return got
         if self.seed is None:
             return GradedVector.zero(self.module.space)
+        return self._seeded(word)
+
+    @key_memo
+    def _seeded(self, word) -> GradedVector:
+        """The seeded value on ``word``, drawn once per cochain."""
         return seeded_value(self.module.space, self.r, self.value_keys,
                             ((self.letters, self.algebra.space, word),),
                             (self.label, self.seed, word))

@@ -117,7 +117,10 @@ class LieAlgebra:
         for entry in data.get("brackets", ()):
             i = int(entry["i"]) - 1
             j = int(entry["j"]) - 1
-            comps = {int(k) - 1: Fraction(v) for k, v in entry["coeffs"].items()}
+            comps = {}
+            for k, v in entry["coeffs"].items():
+                c = Fraction(v)     # an integral constant stays an int
+                comps[int(k) - 1] = c.numerator if c.denominator == 1 else c
             key = (i, j)
             if key in brackets:
                 raise StructuralError("duplicate bracket entry for (%d,%d)" % (i + 1, j + 1))

@@ -11,7 +11,8 @@ the X-part.
 from __future__ import annotations
 
 from .signs import sgn
-from .exact import BasisSpace, GradedMap, GradedVector, StructuralError
+from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
+                    key_memo)
 from .hochschild import (Cochain, DgAlgebra, WordCochain, add_cochain,
                          hoch_d, hoch_partial, seeded_value)
 
@@ -109,7 +110,8 @@ class XCochain:
     pieces (a_word, x_key, b_word); ``value_with_slot`` and the component
     differentials read it flat.  Values outside the stored columns are zero
     unless a seed is present (deterministic random values, restricted to the
-    given letter windows).
+    given letter windows, drawn once per word and memoized on the instance;
+    like the stored columns they are handed out shared and read-only).
     """
 
     def __init__(self, A: DgAlgebra, X: Bimodule, B: DgAlgebra,
@@ -140,6 +142,12 @@ class XCochain:
             return got
         if self.seed is None:
             return GradedVector.zero(self.X.space)
+        return self._seeded(aw, xk, bw)
+
+    @key_memo
+    def _seeded(self, aw, xk, bw) -> GradedVector:
+        """The seeded value on the word (aw, xk, bw), drawn once per
+        cochain."""
         return seeded_value(
             self.X.space, self.r, self.value_keys,
             ((self.a_letters, self.A.space, aw),
@@ -325,9 +333,6 @@ class TrioCochain:
         self.fA = dict(fA or {})
         self.fX = dict(fX or {})
         self.fB = dict(fB or {})
-
-    def components(self):
-        return (sorted(self.fA), sorted(self.fX), sorted(self.fB))
 
 
 def trio_differential(t: TrioCochain, A: DgAlgebra, X: Bimodule,

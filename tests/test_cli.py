@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from hochduflo.cli import build_parser, load_lie_algebra, main
+from hochduflo.cli import BUNDLED, build_parser, load_lie_algebra, main
 from hochduflo.exact import StructuralError
+from hochduflo.liealg import LieAlgebra
 from hochduflo.suites import run_suite
 
 
@@ -21,6 +22,22 @@ def test_bundled_fixtures_load():
     assert load_lie_algebra("sl2").dimension == 3
     assert load_lie_algebra("heisenberg").dimension == 3
     assert load_lie_algebra("aff1").dimension == 2
+
+
+def typed(table):
+    return {ij: {k: (type(c), c) for k, c in comps.items()}
+            for ij, comps in table.items()}
+
+
+def test_bundled_tables_match_the_constructors():
+    """A bundled algebra loads with the same structure constants as its
+    constructor, integral ones as ``int``."""
+    built = {"sl2": LieAlgebra.sl2(), "heisenberg": LieAlgebra.heisenberg3(),
+             "aff1": LieAlgebra.aff1(), "abelian1": LieAlgebra.abelian(1),
+             "abelian2": LieAlgebra.abelian(2)}
+    assert set(built) == BUNDLED
+    for name, g in built.items():
+        assert typed(load_lie_algebra(name).table) == typed(g.table), name
 
 
 def test_broken_fixture_names_triple(tmp_path):

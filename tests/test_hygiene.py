@@ -13,11 +13,18 @@ SOURCES = sorted((ROOT / "src" / "hochduflo").glob("*.py"))
 # the files kept free of unused imports
 IMPORTERS = SOURCES + sorted(path for tree in ("tests", "demos", "tools")
                              for path in (ROOT / tree).glob("*.py"))
-# every file whose reads count as a caller; this file is left out, so the
-# names in its scanner fixtures call nothing
+# every file whose reads count as a caller
 READERS = sorted(path for tree in ("src", "tests", "demos", "perfbench")
-                 for path in (ROOT / tree).rglob("*.py")
-                 if path != Path(__file__))
+                 for path in (ROOT / tree).rglob("*.py"))
+
+
+def load_tracer():
+    """``perfbench/tracer.py`` as a module (``perfbench`` is no package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def unused_imports(source):
@@ -79,47 +86,145 @@ def definitions(source):
     return found
 
 
-def reads(source):
-    """Every name a module reads: loaded names, loaded attributes and string
-    constants (the tracer names its targets by string)."""
-    out = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+def _local_names(args, body):
+    """The names a function binds itself: its parameters and every name its
+    body stores or imports, outside nested functions and classes (whose own
+    names it does bind)."""
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    out |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    todo = list(body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif (isinstance(node, ast.Attribute)
-              and isinstance(node.ctx, ast.Load)):
-            out.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        todo.extend(ast.iter_child_nodes(node))
     return out
 
 
-def uncalled(source, read):
-    """The definitions of ``source`` whose name is not in ``read``."""
-    return [(line, name) for line, name in definitions(source)
-            if name.rpartition(".")[2] not in read]
+class _Reads(ast.NodeVisitor):
+    """Collects what a module reads, by binding:
+
+    - ``.name`` for every attribute load ``x.name``;
+    - ``name`` for every load of a name no enclosing function binds
+      (a parameter or local of the same spelling reads nothing), and for
+      every name imported with ``from ... import name``;
+    - ``module.name`` for an attribute load on a name bound to an imported
+      module (``from pkg import module as M``; ``M.name``).
+    """
+
+    def __init__(self):
+        self.out = set()
+        self.modules = {}
+        self.scopes = []
+
+    def visit_Import(self, node):
+        for a in node.names:
+            self.modules[a.asname or a.name] = a.name.rpartition(".")[2]
+
+    def visit_ImportFrom(self, node):
+        for a in node.names:
+            self.out.add(a.name)
+            self.modules[a.asname or a.name] = a.name
+
+    def _is_global(self, name):
+        return not any(name in scope for scope in self.scopes)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and self._is_global(node.id):
+            self.out.add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.out.add("." + node.attr)
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id in self.modules
+                    and self._is_global(base.id)):
+                self.out.add("%s.%s" % (self.modules[base.id], node.attr))
+        self.generic_visit(node)
+
+    def _function(self, node):
+        body = node.body if isinstance(node.body, list) else [node.body]
+        # decorators, defaults and annotations belong to the outer scope
+        for child in ast.iter_child_nodes(node):
+            if not any(child is stmt for stmt in body):
+                self.visit(child)
+        self.scopes.append(_local_names(node.args, body))
+        for stmt in body:
+            self.visit(stmt)
+        self.scopes.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _function
 
 
-def test_uncalled_scanner_sees_names_attributes_and_strings():
+def reads(source):
+    """Everything a module reads (see ``_Reads``).  String constants read
+    nothing; the tracer's targets are added by ``tracer_reads``."""
+    visitor = _Reads()
+    visitor.visit(ast.parse(source))
+    return visitor.out
+
+
+def tracer_reads(tracer):
+    """The entry points ``perfbench/tracer.py`` wraps: ``module.function``
+    for a function, ``Class.method`` for a method."""
+    out = {"%s.%s" % (cls or module, attr)
+           for _, module, cls, attr, _, _ in tracer.TARGETS}
+    return out | {"GradedVector." + attr for attr in tracer.VECTOR_OPS}
+
+
+def uncalled(module, source, read):
+    """The definitions of ``source`` (the module ``module``) that nothing in
+    ``read`` reaches: a method only through ``.name`` or its tracer target
+    ``Class.name``, a function or class only through a name load, an import
+    or ``module.name``."""
+    found = []
+    for line, name in definitions(source):
+        cls, _, attr = name.rpartition(".")
+        keys = ("." + attr, name) if cls else (name, "%s.%s" % (module, name))
+        if not any(key in read for key in keys):
+            found.append((line, name))
+    return found
+
+
+def test_uncalled_scanner_is_binding_aware():
     source = ("import os\n"
               "def used(): pass\ndef unused(): pass\ndef traced(): pass\n"
               "class Kept:\n    def __init__(self): pass\n"
               "    def method(self): pass\n    def orphan(self): pass\n"
+              "    def param(self): pass\n"
               "class Dropped:\n    pass\n"
-              "def stored(): pass\n")
-    reader = ("from m import unused\nused()\nKept().method()\n"
-              "TARGETS = [('m', None, 'traced')]\nstored = 1\nx.Dropped = 2\n")
+              "def stored(): pass\ndef shadowed(): pass\n"
+              "def qualified(): pass\ndef attribute(): pass\n")
+    reader = ("from m import unused\nimport m as mod\nused()\n"
+              "Kept().method()\nprint(orphan)\n"
+              "TARGETS = [('m', None, 'traced')]\nstored = 1\n"
+              "x.Dropped = 2\nx.attribute()\nmod.qualified()\n"
+              "def f(param, shadowed):\n"
+              "    return param + shadowed + (lambda orphan: orphan)(0)\n")
     read = reads(source) | reads(reader)
-    assert uncalled(source, read) == [
-        (3, "unused"), (8, "Kept.orphan"), (9, "Dropped"), (11, "stored")]
+    assert uncalled("m", source, read) == [
+        (4, "traced"), (8, "Kept.orphan"), (9, "Kept.param"),
+        (10, "Dropped"), (12, "stored"), (13, "shadowed"), (15, "attribute")]
+    assert uncalled("m", source, read | {"m.traced", "Kept.param"}) == [
+        (8, "Kept.orphan"), (10, "Dropped"), (12, "stored"),
+        (13, "shadowed"), (15, "attribute")]
 
 
 def test_no_definitions_without_a_caller():
     assert SOURCES and READERS
     read = set().union(*(reads(path.read_text()) for path in READERS))
+    read |= tracer_reads(load_tracer())
     found = ["%s:%d %s" % (path.name, line, name)
              for path in SOURCES
-             for line, name in uncalled(path.read_text(), read)]
+             for line, name in uncalled(path.stem, path.read_text(), read)]
     assert not found, "definitions nothing calls: " + ", ".join(found)
 
 
@@ -150,10 +255,7 @@ def test_no_true_division_in_src():
 def test_tracer_targets_exist():
     """Each entry point perfbench/tracer.py wraps is where it looks for it:
     a module attribute, or a method in its class's own ``__dict__``."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     assert tracer.TARGETS
     missing = []
     for name, module, cls, attr, _, _ in tracer.TARGETS:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -9,12 +10,14 @@ from hochduflo.exact import (GradedMap, GradedVector, WindowOverflow,
                              derive_seed)
 from hochduflo.hochschild import (BimoduleOps, Cochain, hoch_d, hoch_partial,
                                   random_cochain)
-from hochduflo.keller import LieTriple
-from hochduflo.suites import suite_trio, suite_phi_psi
+from hochduflo.keller import LieTriple, row_exactness_certificate
+from hochduflo.suites import (suite_homotopy_identity, suite_trio,
+                              suite_phi_psi)
 from hochduflo.trio import (ALinearEnds, BLinearEnds, EndCochain, TrioCochain,
                             XCochain, d_ax, d_left, d_right, del_x, embed_trio,
-                            phi_embed, project_a, psi_embed, rho_a_star,
-                            semidirect_algebra, trio_differential)
+                            phi_embed, project_a, psi_embed,
+                            random_x_cochain, rho_a_star, semidirect_algebra,
+                            trio_differential)
 
 from oracles import old_d_left, old_d_right, old_del_x
 
@@ -264,3 +267,94 @@ def test_value_with_slot_is_linear_at_every_flat_position(lie, request):
                 assert fX.value_with_slot(w[:i], vec, w[i + 1:]) == want
                 nonzero += bool(want)
     assert nonzero
+
+
+# -- the seeded-value memo ---------------------------------------------------
+
+def seeded_words(c):
+    """The ``_seeded`` argument tuples of every word of ``c``'s arity over
+    the full window, with the letter windows each piece is drawn from."""
+    if isinstance(c, XCochain):
+        return [((aw, xk, bw), ((c.a_letters, aw), (c.x_letters, (xk,)),
+                                (c.b_letters, bw)))
+                for aw in product(c.A.space.keys, repeat=c.p)
+                for xk in c.X.space.keys
+                for bw in product(c.B.space.keys, repeat=c.q)]
+    return [((w,), ((c.letters, w),))
+            for w in product(c.algebra.space.keys, repeat=c.p)]
+
+
+def seeded_memo_mismatches(c):
+    """The memo entries of ``c`` that differ from a fresh seeded value."""
+    fresh = type(c)._seeded.__wrapped__
+    return [args for args, got in vars(c).get("_memo__seeded", {}).items()
+            if got != fresh(c, *args)]
+
+
+def test_seeded_memo_matches_uncached(aff1):
+    """Every word of a small window gives the fresh seeded value through the
+    memo: zero for a letter outside its window, the uncut value restricted
+    to ``value_keys`` otherwise, and a second call hands out the stored
+    vector.  A stored column is answered before the memo."""
+    triple = LieTriple(aff1, 3)
+    A, X, B = triple.A, triple.X, triple.B
+    a_low = [k for k in A.space.keys if len(k) <= 1]
+    x_low = [k for k in X.space.keys if len(k[0]) <= 1]
+    b_low = [k for k in B.space.keys if len(k) <= 1]
+    pairs = [
+        (random_cochain(A, A, 2, 0, 5, letters=a_low, value_keys=a_low),
+         random_cochain(A, A, 2, 0, 5, letters=a_low)),
+        (random_x_cochain(A, X, B, 1, 1, 0, 5, a_letters=a_low,
+                          x_letters=x_low, b_letters=b_low,
+                          value_keys=x_low),
+         random_x_cochain(A, X, B, 1, 1, 0, 5, a_letters=a_low,
+                          x_letters=x_low, b_letters=b_low))]
+    for c, uncut in pairs:
+        fresh = type(c)._seeded.__wrapped__
+        outside = cut = kept = 0
+        for args, windows in seeded_words(c):
+            got = c.value(*args)
+            assert got == fresh(c, *args), args
+            assert c.value(*args) is got
+            if any(k not in letters for letters, word in windows
+                   for k in word):
+                assert not got, args
+                outside += 1
+                continue
+            whole = uncut.value(*args).coeffs
+            assert got.coeffs == {k: v for k, v in whole.items()
+                                  if k in c.value_keys}, args
+            cut += len(whole) > len(got.coeffs)
+            kept += bool(got)
+        assert outside and cut and kept
+        assert not seeded_memo_mismatches(c)
+    w = ((0,), (1,))
+    col = GradedVector.basis(A.space, ())
+    stored = Cochain(A, A, 2, 0, columns={w: col}, seed=5, label="f5")
+    assert stored.value(w) is col
+    assert (w,) not in vars(stored).get("_memo__seeded", {})
+
+
+def test_seeded_memo_survives_certificate_and_homotopy_sweeps(aff1,
+                                                              monkeypatch):
+    """After an AC3-shaped row certificate sweep and an AC8-shaped homotopy
+    identity sweep, every stored seeded value still equals a fresh one: no
+    caller mutated a shared vector."""
+    seen = {}
+    for cls in (Cochain, XCochain):
+        def recording(self, *args, memoized=cls._seeded):
+            seen[id(self)] = self
+            return memoized(self, *args)
+        monkeypatch.setattr(cls, "_seeded", recording)
+    triple = LieTriple(aff1, 5)
+    for side in ("R", "L"):
+        assert row_exactness_certificate(triple, side, 1, 1, 0, seed=7,
+                                         n_inputs=30) == []
+    assert suite_homotopy_identity(aff1, trials=10, seed=0).ok
+    monkeypatch.undo()
+    assert {type(c) for c in seen.values()} == {Cochain, XCochain}
+    checked = 0
+    for c in seen.values():
+        assert not seeded_memo_mismatches(c), c.label
+        checked += len(vars(c)["_memo__seeded"])
+    assert checked

@@ -6,6 +6,12 @@ Usage (from the root of a checkout)::
         --workloads certificates endgame elimination --seeds 1-10 \\
         --out BENCH_6.json
 
+With ``--tier1``, the Tier-1 suite (``python -m pytest -q
+--continue-on-collection-errors --durations=0`` with ``src`` on the path)
+first runs once in each checkout, parent first; its wall time, exit
+status, summary line and the call durations of the AC3, AC4, AC8 and AC9
+acceptance tests go to ``tier1``.
+
 For each workload and seed, one pair runs ``perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` once in each checkout, one after the
 other, with ``T`` the ``run_seconds`` of the change's ``BENCHMARK.json``;
@@ -25,10 +31,16 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+# the acceptance tests whose durations ``--tier1`` records
+AC_TESTS = ("test_ac3_", "test_ac4_", "test_ac8_", "test_ac9_")
+DURATION = re.compile(r"^([0-9.]+)s call\s+\S+::(\w+)$")
 
 
 def parse_seeds(text):
@@ -53,6 +65,29 @@ def run_once(checkout, workload, seed, seconds):
         result = None
     return {"exit": proc.returncode, "result": result,
             "stderr": proc.stderr.strip()[-2000:] or None}
+
+
+def run_tier1(checkout):
+    """One Tier-1 run in ``checkout``: wall time, exit status, the summary
+    line and the call durations of the tests named in ``AC_TESTS``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in ("src", env.get("PYTHONPATH")) if p)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors", "--durations=0"],
+        cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    durations = {}
+    for line in lines:
+        match = DURATION.match(line)
+        if match and match.group(2).startswith(AC_TESTS):
+            durations[match.group(2)] = float(match.group(1))
+    return {"exit": proc.returncode, "wall_s": round(wall, 2),
+            "summary": lines[-1] if lines else None,
+            "durations_s": durations}
 
 
 def quartiles(values):
@@ -99,6 +134,8 @@ def main(argv=None):
                     help="seeds, one pair each: 1-10 or 1,4,7")
     ap.add_argument("--out", required=True, type=Path,
                     help="the BENCH_<n>.json to write")
+    ap.add_argument("--tier1", action="store_true",
+                    help="also time the Tier-1 suite once per checkout")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -109,6 +146,14 @@ def main(argv=None):
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "system": platform.platform()},
         "pairs": [], "summary": {}}
+    if args.tier1:
+        record["tier1"] = {side: run_tier1(getattr(args, side))
+                           for side in ("parent", "change")}
+        args.out.write_text(json.dumps(record, indent=1, sort_keys=True)
+                            + "\n")
+        print("tier1: exit %d/%d" % (record["tier1"]["parent"]["exit"],
+                                     record["tier1"]["change"]["exit"]),
+              flush=True)
     index = 0
     for workload in args.workloads:
         for seed in args.seeds:
@@ -126,9 +171,10 @@ def main(argv=None):
                 workload, seed, first, pair["parent"]["exit"],
                 pair["change"]["exit"]), flush=True)
             index += 1
-    bad = [p for p in record["pairs"]
-           if p["parent"]["exit"] or p["change"]["exit"]]
-    return 1 if bad else 0
+    exits = [p[side]["exit"] for p in record["pairs"]
+             for side in ("parent", "change")]
+    exits += [run["exit"] for run in record.get("tier1", {}).values()]
+    return 1 if any(exits) else 0
 
 
 if __name__ == "__main__":
