@@ -21,7 +21,7 @@ from . import suites as S
 from . import duflo as D
 
 
-BUNDLED = {"sl2", "heisenberg", "aff1", "abelian1", "abelian2"}
+BUNDLED = {"sl2", "so3", "heisenberg", "aff1", "abelian1", "abelian2"}
 
 
 def load_lie_algebra(path_or_name) -> LieAlgebra:

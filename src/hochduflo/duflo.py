@@ -640,6 +640,17 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
     absorbed into the B-part, so the projection to the dual odd algebra is
     computed, not prescribed.
 
+    Only the dual words a live column can reach are solved.  The target at
+    a word ``bw`` of stage q reads the words of ``_target_reads`` (stage
+    q - 1, and the longer words of stage q, which ``word_order`` has solved
+    already) and f_B at ``bw``, which only an absorption at ``bw`` itself
+    makes non-zero.  When none of those words has a non-zero generator
+    value, the target vanishes at every generator, so ``null_homotopy``
+    would return zero and absorb nothing: the word gets no column and no
+    f_B entry.  A stage without a non-zero sigma leaves the next stage no
+    word to solve, and the staircase stops after two stages that add
+    nothing, once q reaches the dimension.
+
     Returns ``(components, fB)``: the X-part as LinearXCochain components and
     the discovered dual-valued cochains.
     """
@@ -649,6 +660,7 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
     depth = depth if depth is not None else ctx.triple.pbw_cap
     cone = AugmentationCone(ctx.triple, depth)
     letters = list(ctx.dual.space.keys)
+    reads = _target_reads(ctx.B, letters)
     fA = Cochain(ctx.A, ctx.A, 0, 0, columns={(): u0}, label="u0")
     dax = d_ax(fA, ctx.X, ctx.B)
 
@@ -658,6 +670,7 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
         return sorted(words, key=lambda w: (-sum(len(b) for b in w), w))
 
     components = {}
+    live_prev = set()
     q = 0
     quiet = 0
     while q <= d + max_extra:
@@ -665,17 +678,21 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
         prev = components.get(q - 1)
         d_prev = d_right(prev) if prev is not None else None
         columns = {}
+        live = set()        # the words of this stage with a non-zero sigma
         current = LinearXCochain(ctx, 0, q, r, columns)
         del_current = del_x(current)
-        words = [()] if q == 0 else             [w + (b,) for w in _dual_words(letters, q - 1) for b in letters]
-        changed = False
+        words = [()] if q == 0 else \
+            [w + (b,) for w in _dual_words(letters, q - 1) for b in letters]
+        fB_q = fB_cols.setdefault(q, {})
         for bw in word_order(words):
-            # live view: the absorber mutates these vectors in place
-            fB_cols.setdefault(q, {}).setdefault(
-                bw, GradedVector.zero(ctx.dual.space))
-            live = Cochain(ctx.B, ctx.B, q, -q, columns=fB_cols[q],
+            before, here = reads(bw)
+            if q and live_prev.isdisjoint(before) and live.isdisjoint(here):
+                continue
+            # live view: the absorber mutates this vector in place
+            fB_q[bw] = GradedVector.zero(ctx.dual.space)
+            view = Cochain(ctx.B, ctx.B, q, -q, columns=fB_q,
                            label="fB%d" % q)
-            dxb_q = d_xb(live, ctx.A, ctx.X)
+            dxb_q = d_xb(view, ctx.A, ctx.X)
 
             def target(x_key, bw=bw, dxb_q=dxb_q):
                 out = GradedVector.zero(ctx.X.space)
@@ -699,16 +716,15 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
                 if not coeff:
                     raise StructuralError(
                         "cannot absorb obstruction at %r" % (y,))
-                col = fB_cols.setdefault(q, {}).setdefault(
-                    bw, GradedVector.zero(ctx.dual.space))
-                col.add_term(dkey, Q(ob, coeff))
+                fB_q[bw].add_term(dkey, Q(ob, coeff))
 
             sigma = null_homotopy(ctx, cone, target, sgn(q), absorb=absorb)
             if sigma.gen:
-                changed = True
+                live.add(bw)
             columns[bw] = sigma
         components[q] = current
-        if not changed and not fB_cols.get(q):
+        live_prev = live
+        if not live and not any(fB_q.values()):
             quiet += 1
             if quiet >= 2 and q >= d:
                 break
@@ -725,6 +741,31 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
     components = {qq: c for qq, c in components.items()
                   if any(s.gen for s in c.columns.values())}
     return components, fB
+
+
+def _target_reads(B, letters):
+    """``reads(bw)``: the dual words the lift target at ``bw`` reads.
+
+    ``reads`` returns two lists.  The first holds the words of the previous
+    stage: ``bw[1:]`` (the x . b_1 term of d_right), ``bw[:-1]`` (its outer
+    b_q term) and ``bw`` with one adjacent pair b_i b_{i+1} replaced by a
+    key of their product.  The second holds the words of the current stage
+    that del_x reads: ``bw`` with one letter b_i replaced by a key of
+    d_B(b_i), each longer than ``bw``.
+    """
+    prods = {(a, b): tuple(B.mul_keys(a, b).coeffs)
+             for a in letters for b in letters}
+    d_keys = {b: tuple(B.d_key(b).coeffs) for b in letters}
+
+    def reads(bw):
+        before = [bw[1:], bw[:-1]]
+        before += [bw[:i] + (k,) + bw[i + 2:] for i in range(len(bw) - 1)
+                   for k in prods[bw[i], bw[i + 1]]]
+        here = [bw[:i] + (k,) + bw[i + 1:] for i in range(len(bw))
+                for k in d_keys[bw[i]]]
+        return before, here
+
+    return reads
 
 
 def _dual_words(letters, q):

@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 
 from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, as_q, bilinear,
-                    kernel_basis, key_memo)
+                    kernel_basis, key_memo, rows_rank)
 from .series import PolyTrunc
 from .signs import sgn, koszul_sign, sort_monomial, unshuffles, unshuffle_sign, \
     tensor_interleave_sign
@@ -86,6 +86,18 @@ class LieAlgebra:
                         violations.append((i, j, k))
         return ValidationReport(self, tuple(violations))
 
+    def is_semisimple(self) -> bool:
+        """Cartan's criterion: the Killing form tr(ad x ad y) is
+        non-degenerate, decided by the exact rank of its matrix."""
+        d = self.dimension
+        # ad[i][b][a] is the (b, a) entry of ad_{e_i}
+        ad = [[[self.bracket(i, a).get(b, ZERO) for a in range(d)]
+               for b in range(d)] for i in range(d)]
+        killing = [[sum(ad[i][b][a] * ad[j][a][b]
+                        for a in range(d) for b in range(d))
+                    for j in range(d)] for i in range(d)]
+        return rows_rank(killing) == d
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -106,6 +118,13 @@ class LieAlgebra:
     def sl2(cls):
         """Basis (e, f, h) with [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
         return cls(3, {(2, 0): {0: 2}, (2, 1): {1: -2}, (0, 1): {2: 1}}, "sl2")
+
+    @classmethod
+    def so3(cls):
+        """[e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2 (compact form of sl2;
+        over Q its Casimir does not split)."""
+        return cls(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}},
+                   "so3")
 
     # -- JSON interchange --------------------------------------------------
 

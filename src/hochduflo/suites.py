@@ -13,8 +13,8 @@ import time
 
 from .signs import sgn
 from .exact import (ZERO, GradedMap, GradedVector, StructuralError,
-                    WindowOverflow, derive_seed, random_vector, rows_nullspace,
-                    rows_rank, rows_solve)
+                    WindowOverflow, derive_seed, key_memo, random_vector,
+                    rows_nullspace, rows_rank, rows_solve)
 from .liealg import (LieAlgebra, OddSym, DualOdd, UgWindow, ce_module_sym,
                      ce_module_ug, ce_differential, ce_hom_matrix,
                      invariants_basis, pbw_map)
@@ -450,6 +450,39 @@ def suite_topform_sweep(max_dim=4):
 # suite: vanishing (augmentation cone + tails)
 # ---------------------------------------------------------------------------
 
+class TailValues:
+    """The seeded tail cochain of the vanishing suite, valued in the module
+    of an ``AbelianActionCone``: one (v, g0, g1) triple per word.
+
+    Each word's triple is drawn once per instance and then handed out
+    shared and read-only, like every other ``key_memo`` result.
+    """
+
+    def __init__(self, cone, seed, p, r):
+        self.cone, self.seed, self.p, self.r = cone, seed, p, r
+
+    @key_memo
+    def value(self, word):
+        cone, r = self.cone, self.r
+        s = derive_seed("tail", self.seed, word, self.p, r)
+        vv = random_vector(cone.val.space, 0, s)
+        v = GradedVector(cone.val.space,
+                         {k: c for k, c in vv.coeffs.items()
+                          if len(k) <= 2}) if r == 0 else \
+            GradedVector.zero(cone.val.space)
+        g0 = GradedMap(cone.dom.space, cone.val.space, 0)
+        g1 = GradedMap(cone.dom.space, cone.val.space, 0)
+        for u in cone.dom.space.keys:
+            vec = random_vector(cone.val.space, 0, derive_seed("tg", s, u, r))
+            trimmed = GradedVector(
+                cone.val.space,
+                {k: c for k, c in vec.coeffs.items() if len(k) <= 2})
+            if r == 0:
+                g0.set_column(u, trimmed, check=False)
+            g1.set_column(u, trimmed, check=False)
+        return (v, g0, g1)
+
+
 def suite_vanishing(g: LieAlgebra, depth=4, seed=0):
     report = SuiteReport("vanishing", {"lie": g.name, "depth": depth,
                                        "seed": seed})
@@ -483,27 +516,8 @@ def suite_vanishing(g: LieAlgebra, depth=4, seed=0):
             return out[:30]
 
         for (p, r) in ((0, 0), (1, 0), (0, 1)):
-            def fn(word, p=p, r=r):
-                s = derive_seed("tail", seed, word, p, r)
-                vv = random_vector(cone1.val.space, 0, s)
-                v = GradedVector(cone1.val.space,
-                                 {k: c for k, c in vv.coeffs.items()
-                                  if len(k) <= 2}) if r == 0 else \
-                    GradedVector.zero(cone1.val.space)
-                g0 = GradedMap(cone1.dom.space, cone1.val.space, 0)
-                g1 = GradedMap(cone1.dom.space, cone1.val.space, 0)
-                for u in cone1.dom.space.keys:
-                    vec = random_vector(cone1.val.space, 0,
-                                        derive_seed("tg", s, u, r))
-                    trimmed = GradedVector(
-                        cone1.val.space,
-                        {k: c for k, c in vec.coeffs.items() if len(k) <= 2})
-                    if r == 0:
-                        g0.set_column(u, trimmed, check=False)
-                    g1.set_column(u, trimmed, check=False)
-                return (v, g0, g1)
-
-            f = ModuleCochain(A, M, p, fn, label="tail")
+            f = ModuleCochain(A, M, p, TailValues(cone1, seed, p, r).value,
+                              label="tail")
             bound = p + r + cone1.degree_bound()
             last, _seq = frak_h_vanishing_index(f, r, bound + 2, words_fn)
             if last > bound:
@@ -918,6 +932,7 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
                           series_order, "seed": seed})
     ctx = D.DufloContext(g, pbw_cap=max(pbw, 6), sym_cap=sym_cap)
     J, Js = D.duflo_series(g, series_order)
+    semisimple = g.is_semisimple()
 
     def get_quadratic():
         inv = invariants_basis(g, ce_module_sym(ctx.sym), 0)
@@ -962,7 +977,7 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
         p2 = ctx.sym.mul(P, P)
         lhs = ctx.ug.mul(u0, u0)
         rhs = pbw_map(ctx.sym, ctx.ug, p2)
-        if g.name == "sl2":
+        if semisimple:
             return lhs != rhs, None, {"witness": repr(lhs - rhs)}
         return True, None, {"note": "control meaningful for semisimple case"}
 
@@ -1027,7 +1042,7 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
 
     def check_route_negative():
         P = get_quadratic()
-        if P is None or g.name != "sl2":
+        if P is None or not semisimple:
             return True, None, {"note": "control ran on the semisimple case"}
         tprime = D.series_contraction(ctx.sym, Js, P)
         t_vec = GradedVector.zero(ctx.tp.space)
@@ -1050,7 +1065,7 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
         kernel1 = len(rows_nullspace(r1, len(src1))) if src1 else 0
         rank0 = rows_rank(r0) if r0 else 0
         h1 = kernel1 - rank0
-        if g.name == "sl2":
+        if semisimple:
             # the filtration slice is an honest finite module, so the
             # degree-one cohomology vanishes there; both routes then agree
             # on the empty set of representatives

@@ -8,15 +8,17 @@ Laplace-style expansion, series coefficients by direct Cauchy products, and
 PBW normal ordering by a different rewriting strategy.  The X-part
 differentials of the trio complex are kept as the package wrote them before
 it read the X-part words flat: one slot evaluator and one loop per kind of
-letter.
+letter.  The Duflo lift is kept as it swept every dual word.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from hochduflo.exact import GradedVector
+from hochduflo.duflo import (DufloContext, LinearXCochain, _dual_words,
+                             null_homotopy)
+from hochduflo.exact import ZERO, GradedVector, StructuralError
 from hochduflo.signs import sgn
-from hochduflo.trio import XDerived
+from hochduflo.trio import XDerived, d_ax, d_right, d_xb, del_x
 
 Q = Fraction
 
@@ -403,3 +405,107 @@ def old_del_x(fX):
         return out
 
     return XDerived(A, X, B, p, q, r + 1, fn, label="delX(%s)" % fX.label)
+
+
+# -- the lift's full sweep over every dual word -------------------------------
+
+def full_sweep_lift(ctx: DufloContext, u0: GradedVector,
+                    depth: int = None, max_extra: int = 2):
+    """Trio cocycle (u0, f_X, f_B) over a central element of the window.
+
+    The package's lift as it was before it solved only the dual words a live
+    column can reach: every word of every stage enters ``null_homotopy``
+    with an f_B placeholder, and the staircase runs to ``d + max_extra``.
+
+    Solves the bimodule-part equation by the arity staircase: all values are
+    left-linear (so the arity-raising left component vanishes identically)
+    and each stage is a valuewise null homotopy, driven entirely through the
+    trio evaluators.  Augmentation obstructions met along the way are
+    absorbed into the B-part, so the projection to the dual odd algebra is
+    computed, not prescribed.
+
+    Returns ``(components, fB)``: the X-part as LinearXCochain components and
+    the discovered dual-valued cochains.
+    """
+    from hochduflo.keller import AugmentationCone
+    from hochduflo.hochschild import Cochain
+    d = ctx.g.dimension
+    depth = depth if depth is not None else ctx.triple.pbw_cap
+    cone = AugmentationCone(ctx.triple, depth)
+    letters = list(ctx.dual.space.keys)
+    fA = Cochain(ctx.A, ctx.A, 0, 0, columns={(): u0}, label="u0")
+    dax = d_ax(fA, ctx.X, ctx.B)
+
+    fB_cols = {}
+
+    def word_order(words):
+        return sorted(words, key=lambda w: (-sum(len(b) for b in w), w))
+
+    components = {}
+    q = 0
+    quiet = 0
+    while q <= d + max_extra:
+        r = -1 - q
+        prev = components.get(q - 1)
+        d_prev = d_right(prev) if prev is not None else None
+        columns = {}
+        current = LinearXCochain(ctx, 0, q, r, columns)
+        del_current = del_x(current)
+        words = [()] if q == 0 else             [w + (b,) for w in _dual_words(letters, q - 1) for b in letters]
+        changed = False
+        for bw in word_order(words):
+            # live view: the absorber mutates these vectors in place
+            fB_cols.setdefault(q, {}).setdefault(
+                bw, GradedVector.zero(ctx.dual.space))
+            live = Cochain(ctx.B, ctx.B, q, -q, columns=fB_cols[q],
+                           label="fB%d" % q)
+            dxb_q = d_xb(live, ctx.A, ctx.X)
+
+            def target(x_key, bw=bw, dxb_q=dxb_q):
+                out = GradedVector.zero(ctx.X.space)
+                if q == 0:
+                    out.add_inplace(dax.value((), x_key, ()), -1)
+                if d_prev is not None:
+                    out.add_inplace(d_prev.value((), x_key, bw), -1)
+                out.add_inplace(dxb_q.value((), x_key, bw), -1)
+                # couplings to already-solved words of this stage
+                out.add_inplace(del_current.value((), x_key, bw), -1)
+                return out
+
+            def absorb(y, ob, bw=bw):
+                dkey = ctx.dual.dual_key_of(y)
+                delta = Cochain(ctx.B, ctx.B, q, -q, columns={
+                    bw: GradedVector.basis(ctx.dual.space, dkey)})
+                probe = d_xb(delta, ctx.A, ctx.X).value((), ((), y), bw)
+                coeff = ZERO
+                for k, c in probe.coeffs.items():
+                    coeff += c * ctx.triple.epsilon(k)
+                if not coeff:
+                    raise StructuralError(
+                        "cannot absorb obstruction at %r" % (y,))
+                col = fB_cols.setdefault(q, {}).setdefault(
+                    bw, GradedVector.zero(ctx.dual.space))
+                col.add_term(dkey, Q(ob, coeff))
+
+            sigma = null_homotopy(ctx, cone, target, sgn(q), absorb=absorb)
+            if sigma.gen:
+                changed = True
+            columns[bw] = sigma
+        components[q] = current
+        if not changed and not fB_cols.get(q):
+            quiet += 1
+            if quiet >= 2 and q >= d:
+                break
+        else:
+            quiet = 0
+        q += 1
+
+    fB = {}
+    for qq in sorted(fB_cols):
+        cols = {bw: v for bw, v in fB_cols[qq].items() if v}
+        if cols:
+            fB[(qq, -qq)] = Cochain(ctx.B, ctx.B, qq, -qq, columns=cols,
+                                    label="fB%d" % qq)
+    components = {qq: c for qq, c in components.items()
+                  if any(s.gen for s in c.columns.values())}
+    return components, fB

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,12 +33,22 @@ def typed(table):
 def test_bundled_tables_match_the_constructors():
     """A bundled algebra loads with the same structure constants as its
     constructor, integral ones as ``int``."""
-    built = {"sl2": LieAlgebra.sl2(), "heisenberg": LieAlgebra.heisenberg3(),
+    built = {"sl2": LieAlgebra.sl2(), "so3": LieAlgebra.so3(),
+             "heisenberg": LieAlgebra.heisenberg3(),
              "aff1": LieAlgebra.aff1(), "abelian1": LieAlgebra.abelian(1),
              "abelian2": LieAlgebra.abelian(2)}
     assert set(built) == BUNDLED
     for name, g in built.items():
         assert typed(load_lie_algebra(name).table) == typed(g.table), name
+
+
+def test_duflo_endgame_on_so3(capsys):
+    """so(3) is semisimple by its Killing form, so the endgame runs its
+    negative controls and the window-H^1 assertion, and passes all six
+    checks with the report in its golden file."""
+    assert main(["--json", "suite", "duflo-endgame", "--lie", "so3"]) == 0
+    golden = Path(__file__).parent / "golden" / "endgame_so3.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_broken_fixture_names_triple(tmp_path):

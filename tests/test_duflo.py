@@ -4,19 +4,25 @@ pullback homotopy, and the endgame certificates."""
 import random
 from fractions import Fraction as Q
 
-from hochduflo.exact import GradedVector
+import pytest
+
+from hochduflo import duflo
+from hochduflo.exact import GradedVector, derive_seed
+from hochduflo.hochschild import Cochain
 from hochduflo.liealg import (LieAlgebra, SymPoly, ce_module_sym,
                               interior_product, invariants_basis, pbw_map)
 from hochduflo.series import PolyTrunc, duflo_log_coefficients
-from hochduflo.duflo import (DufloContext, PolyVectors, duflo_series, hkr,
-                             hkr_cochain, invariance_defects,
+from hochduflo.duflo import (DufloContext, LinearValue, LinearXCochain,
+                             PolyVectors, duflo_series, hkr, hkr_cochain,
+                             invariance_defects,
                              lift_central_through_projection, lift_residuals,
                              phi2_tilde, random_pullback_element,
                              series_contraction, todd_determinant,
                              trace_ad_powers, atiyah_cocycle)
 from hochduflo.suites import suite_duflo_maps, suite_homotopy_identity
+from hochduflo.trio import d_right, d_xb, del_x
 
-from oracles import duflo_log_oracle
+from oracles import duflo_log_oracle, full_sweep_lift
 
 
 def test_log_coefficients_against_ode_oracle():
@@ -210,15 +216,118 @@ def test_casimir_multiplicativity(sl2):
                                          ctx.sym.mul(P, P))
 
 
+def corrected_casimir(g):
+    """The endgame's window on g and the PBW image of its corrected
+    quadratic invariant."""
+    ctx = DufloContext(g, pbw_cap=6, sym_cap=4)
+    J, Js = duflo_series(g, 4)
+    inv = invariants_basis(g, ce_module_sym(ctx.sym), 0)
+    P = [v for v in inv if v.coeffs and all(len(k) == 2 for k in v.coeffs)][0]
+    return ctx, pbw_map(ctx.sym, ctx.ug, series_contraction(ctx.sym, Js, P))
+
+
+def lift_columns(comps, fB):
+    """The non-zero generator values per (stage, word) and the f_B columns
+    per (bidegree, word) of a lift."""
+    gens = {(q, bw): s.gen for q, c in comps.items()
+            for bw, s in c.columns.items() if s.gen}
+    cols = {(k, bw): v for k, f in fB.items()
+            for bw, v in f.columns.items()}
+    return gens, cols
+
+
 def test_lift_and_class_certificate(heis3):
     """The bimodule lift of the corrected symmetrization projects onto the
     corrected polyvector image, at desk scale."""
-    ctx = DufloContext(heis3, pbw_cap=6, sym_cap=4)
-    J, Js = duflo_series(heis3, 4)
-    inv = invariants_basis(heis3, ce_module_sym(ctx.sym), 0)
-    P = [v for v in inv if v.coeffs and all(len(k) == 2 for k in v.coeffs)][0]
-    tprime = series_contraction(ctx.sym, Js, P)
-    u0 = pbw_map(ctx.sym, ctx.ug, tprime)
+    ctx, u0 = corrected_casimir(heis3)
     comps, fB = lift_central_through_projection(ctx, u0, depth=5)
     x_keys = [k for k in ctx.X.space.keys if len(k[0]) + len(k[1]) <= 2]
     assert lift_residuals(ctx, u0, comps, fB, x_keys) == []
+
+
+def test_lift_matches_the_full_sweep(heis3):
+    """Solving only the words a live column reaches gives the components and
+    f_B of the sweep over every dual word."""
+    ctx, u0 = corrected_casimir(heis3)
+    got = lift_columns(*lift_central_through_projection(ctx, u0, depth=5,
+                                                        max_extra=1))
+    want = lift_columns(*full_sweep_lift(ctx, u0, depth=5, max_extra=1))
+    assert got[0] and got[1]
+    assert got == want
+
+
+def test_lift_stops_after_two_quiet_stages(heis3, monkeypatch):
+    """A stage that solves nothing leaves no reachable word after it: the
+    staircase stops after two quiet stages, so a larger ``max_extra``
+    enters no further stage and changes nothing."""
+    ctx, u0 = corrected_casimir(heis3)
+    dual_words = duflo._dual_words
+    entered = []
+
+    def counting(letters, q):
+        entered.append(q + 1)           # stage q + 1 lists its words
+        return dual_words(letters, q)
+
+    monkeypatch.setattr(duflo, "_dual_words", counting)
+    lifts = {}
+    for max_extra in (1, 2):
+        entered.clear()
+        comps, fB = lift_central_through_projection(ctx, u0, depth=5,
+                                                    max_extra=max_extra)
+        lifts[max_extra] = lift_columns(comps, fB), entered[:]
+    assert lifts[1] == lifts[2]
+    (gens, cols), stages = lifts[2]
+    last = max([q for q, _ in gens] + [k[0] for k, _ in cols])
+    assert stages == list(range(1, max(last + 2, heis3.dimension) + 1))
+
+
+def random_linear_value(ctx, rng):
+    """A LinearValue with one or two random generator values."""
+    x_keys = [k for k in ctx.X.space.keys if len(k[0]) <= 1]
+    gen = {y: GradedVector(ctx.X.space, {k: rng.choice((-2, -1, 1, 3))
+                                         for k in rng.sample(x_keys, 2)})
+           for y in rng.sample(list(ctx.odd.space.keys), rng.randint(1, 2))}
+    return LinearValue(ctx, gen, 0)
+
+
+@pytest.mark.parametrize("name,stages", [
+    ("aff1", (2, 3)), ("sl2", (2,)), ("heisenberg3", (2,))])
+def test_lift_target_vanishes_on_words_no_live_column_reaches(name, stages):
+    """The lift's skip rule on random sparse stages: at every word whose
+    read words (``_target_reads``) carry no generator value, d_right of the
+    previous stage, d_xb of f_B and del_x of the current stage vanish at
+    every generator.  The current stage holds no column at the word itself,
+    as in the lift, where a word is read before it is solved."""
+    g = getattr(LieAlgebra, name)()
+    ctx = DufloContext(g, pbw_cap=3, sym_cap=2)
+    letters = list(ctx.dual.space.keys)
+    reads = duflo._target_reads(ctx.B, letters)
+    gens = [((), y) for y in ctx.odd.space.keys]
+    rng = random.Random(derive_seed("skip-rule", name))
+    for q in stages:
+        before_words = duflo._dual_words(letters, q - 1)
+        words = duflo._dual_words(letters, q)
+        for _ in range(6):
+            prev = LinearXCochain(ctx, 0, q - 1, -q, {
+                w: random_linear_value(ctx, rng)
+                for w in rng.sample(before_words, rng.randint(1, 2))})
+            cur_cols = {w: random_linear_value(ctx, rng)
+                        for w in rng.sample(words, rng.randint(1, 3))}
+            current = LinearXCochain(ctx, 0, q, -1 - q, cur_cols)
+            reached = [bw for bw in words
+                       if not (set(prev.columns).isdisjoint(reads(bw)[0])
+                               and set(cur_cols).isdisjoint(reads(bw)[1]))]
+            fB = Cochain(ctx.B, ctx.B, q, -q, columns={
+                bw: GradedVector.basis(ctx.dual.space, rng.choice(letters))
+                for bw in reached})
+            pieces = (d_right(prev), d_xb(fB, ctx.A, ctx.X), del_x(current))
+            skipped = [bw for bw in words if bw not in reached]
+            assert skipped
+            for bw in skipped:
+                own = cur_cols.pop(bw, None)
+                for piece in pieces:
+                    for x_key in gens:
+                        assert not piece.value((), x_key, bw), \
+                            (piece.label, bw, x_key)
+                if own is not None:
+                    cur_cols[bw] = own

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -9,14 +10,14 @@ from hochduflo.exact import (GradedMap, GradedVector, StructuralError,
                              WindowOverflow, derive_seed, random_vector)
 from hochduflo.keller import (AbelianActionCone, AugmentationCone, LieTriple,
                               ModuleCochain, frak_h_sequence,
-                              kernel_dimension_match,
+                              frak_h_vanishing_index, kernel_dimension_match,
                               row_exactness_certificate)
 from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, ce_module_sym,
                               cocontract, contract, invariants_basis, pbw_map)
 from hochduflo.hochschild import hoch_d, hoch_partial, ug_algebra
 from hochduflo.signs import sgn
 from hochduflo.trio import XCochain
-from hochduflo.suites import suite_vanishing
+from hochduflo.suites import TailValues, suite_vanishing
 from hochduflo.duflo import (DufloContext, duflo_series,
                              lift_central_through_projection, lift_residuals,
                              random_pullback_element, series_contraction)
@@ -355,6 +356,31 @@ def test_frak_h_master_identity():
 def test_vanishing_suite(aff1):
     report = suite_vanishing(aff1, depth=4, seed=0)
     assert report.ok, [(c.name, c.witness) for c in report.checks if not c.ok]
+
+
+def test_tail_values_stay_equal_to_fresh_draws():
+    """The vanishing suite's tail sweep hands its memoized values out shared:
+    after a ``frak_h_vanishing_index`` sweep every stored triple still
+    equals a fresh draw, so no caller mutated one, and a second call
+    returns the stored object."""
+    cone = AbelianActionCone(dom_cap=5, val_cap=16)
+    M = cone.module()
+    A = ug_algebra(cone.val)
+    a_letters = [k for k in cone.val.space.keys if len(k) <= 1]
+
+    def words_fn(n):
+        return list(product(a_letters, repeat=n))[:30]
+
+    for (p, r) in ((0, 0), (1, 0), (0, 1)):
+        tails = TailValues(cone, 7, p, r)
+        f = ModuleCochain(A, M, p, tails.value, label="tail")
+        frak_h_vanishing_index(f, r, p + r + cone.degree_bound() + 2,
+                               words_fn)
+        memo = tails._memo_value
+        assert memo
+        for (word,), got in memo.items():
+            assert got == TailValues.value.__wrapped__(tails, word), word
+            assert tails.value(word) is got
 
 
 # -- the key-level memo tables ----------------------------------------------

@@ -27,6 +27,16 @@ def test_validate_examples(sl2, abelian2):
     assert report.jacobi_violations          # the violating triples are named
 
 
+def test_semisimplicity_is_decided_by_the_killing_form(sl2, aff1, heis3,
+                                                       abelian2):
+    """Cartan's criterion, independent of the name: sl2 under another name
+    and so(3) are semisimple; the solvable and abelian algebras are not."""
+    renamed = LieAlgebra.from_dict(dict(sl2.to_dict(), name="mysl2"))
+    assert sl2.is_semisimple() and renamed.is_semisimple()
+    assert LieAlgebra.so3().is_semisimple()
+    assert not any(g.is_semisimple() for g in (aff1, heis3, abelian2))
+
+
 def test_pbw_multiply_examples(aff1, sl2):
     ug = UgWindow(aff1, 4)
     assert ug.mul(ug.unit(), GradedVector.basis(ug.space, (1, 1))) == \
