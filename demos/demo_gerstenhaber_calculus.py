@@ -27,20 +27,20 @@ dA = differential = None
 f = random_cochain(B, B, 2, -1, seed=42, label="f")
 dh = hoch_d(f, ops)
 br = gerstenhaber(mu, f)
-agree = all(dh.value(w) == br.value(w) for w in words_of(B.space, 3)[:200])
+agree = all(dh.value(w) == br.value(w) for w in words_of(B.space.keys, 3)[:200])
 print("d_H f == [mu, f] on a word sweep:", agree)
 
 # The identity cochain is sent to the multiplication itself.
 dh_id = hoch_d(identity_cochain(B), ops)
 print("d_H(id) == mu:",
-      all(dh_id.value(w) == mu.value(w) for w in words_of(B.space, 2)))
+      all(dh_id.value(w) == mu.value(w) for w in words_of(B.space.keys, 2)))
 
 # The unit is a two-sided unit for the cup product and a cocycle.
 one = unit_cochain(B)
 g2 = random_cochain(B, B, 1, 0, seed=7, label="g")
 print("1 u g == g:",
       all(cup(one, g2).value(w) == g2.value(w)
-          for w in words_of(B.space, 1)))
+          for w in words_of(B.space.keys, 1)))
 
 # Interior-window cohomology of the two-point algebra grows forever: the
 # degree-zero classes accumulate one dimension per unit of arity window,

@@ -12,10 +12,10 @@ import json
 import sys
 from importlib import resources
 
-from .exact import (GradedMap, StructuralError, cohomology_slice,
-                    rows_nullspace, rows_rank)
+from .exact import StructuralError, cohomology_slice
 from .liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
-                     ce_hom_matrix, ce_module_sym, ce_module_ug)
+                     ce_hom_differential, ce_hom_space, ce_module_sym,
+                     ce_module_trivial, ce_module_ug)
 from .hochschild import dual_odd_algebra, interior_hh
 from . import suites as S
 from . import duflo as D
@@ -85,32 +85,21 @@ def cmd_suite(args):
 
 def cmd_cohomology(args):
     g = load_lie_algebra(args.lie)
-    odd = OddSym(g)
-    out = {"lie": g.name, "kind": "chevalley-eilenberg",
-           "coefficients": args.coeff, "dims": {}}
-    if args.coeff == "trivial":
-        dual = DualOdd(g)
-        d_g = dual.differential(odd)
-        zero = GradedMap.zero(dual.space, dual.space, 1)
-        for n in range(0, g.dimension + 1):
-            d_in = d_g if n > 0 else zero
-            d_out = d_g if n < g.dimension else zero
-            dim, _ = cohomology_slice(d_in, d_out, n)
-            out["dims"][str(n)] = dim
-    elif args.coeff in ("sg", "ug"):
-        if args.coeff == "sg":
-            module = ce_module_sym(SymPoly(g, args.pbw))
-        else:
-            module = ce_module_ug(UgWindow(g, args.pbw))
-        # matrices of d_CE on the hom windows, sliced by arity
-        prev_rank = 0
-        for n in range(0, g.dimension + 1):
-            rows, src = ce_hom_matrix(odd, module, module.space.keys, n)
-            kernel = len(rows_nullspace(rows, len(src))) if src else 0
-            out["dims"][str(n)] = kernel - prev_rank
-            prev_rank = rows_rank(rows) if rows else 0
-    else:
+    modules = {"trivial": lambda: ce_module_trivial(g),
+               "sg": lambda: ce_module_sym(SymPoly(g, args.pbw)),
+               "ug": lambda: ce_module_ug(UgWindow(g, args.pbw))}
+    if args.coeff not in modules:
         raise StructuralError("unknown coefficients %r" % args.coeff)
+    module = modules[args.coeff]()
+    odd = OddSym(g)
+    # d_CE on the hom window, sliced by arity
+    hom = ce_hom_space(odd, module.space.keys,
+                       "Hom(S(%s[1]),%s)" % (g.name, module.label))
+    d = ce_hom_differential(odd, module, hom)
+    out = {"lie": g.name, "kind": "chevalley-eilenberg",
+           "coefficients": args.coeff,
+           "dims": {str(n): cohomology_slice(d, d, n)[0]
+                    for n in range(0, g.dimension + 1)}}
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
     else:

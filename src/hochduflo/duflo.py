@@ -22,9 +22,10 @@ from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
 from .series import PolyTrunc, duflo_log_coefficients, matrix_series_det
 from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, SymPoly,
                      interior_product, pair_dual_vec, pbw_map, ce_differential,
-                     ce_module_sym, ce_module_ug, coadjoint_action_poly)
+                     ce_hom_differential, ce_hom_space, ce_module_sym,
+                     ce_module_ug, coadjoint_action_poly)
 from .hochschild import (Cochain, Derived, DgAlgebra, BimoduleOps, add_cochain,
-                         hoch_d, hoch_partial)
+                         hoch_d, hoch_partial, words_of)
 from .keller import LieTriple
 from .trio import XCochain, add_x_differential, d_ax, d_xb, d_right, del_x
 
@@ -36,9 +37,7 @@ from .trio import XCochain, add_x_differential, d_ax, d_xb, d_right, del_x
 def trace_ad_powers(g: LieAlgebra, order: int):
     """tr(ad_x^k) as truncated polynomials on g, for k = 1..order."""
     d = g.dimension
-    ad = [[[g.bracket(i, a).get(b, ZERO) for a in range(d)] for b in range(d)]
-          for i in range(d)]
-    # ad[i][b][a] is the (b,a) entry of ad_{e_i}
+    ad = g.adjoint_matrices()
     out = {}
     for k in range(1, order + 1):
         poly = PolyTrunc.zero(d, order)
@@ -157,25 +156,14 @@ def todd_determinant(g: LieAlgebra, order: int) -> PolyTrunc:
     entries = [[PolyTrunc.zero(d, order) for _ in range(d)] for _ in range(d)]
     for b in range(d):
         entries[b][b] = PolyTrunc.constant(d, order)
-    # powers of the linear-form-valued matrix N = ad_x
-    power = None
+    # the linear-form-valued matrix N = ad_x and its powers
+    ad = g.adjoint_matrices()
+    base = [[PolyTrunc(d, order, {(i,): ad[i][b][a] for i in range(d)})
+             for a in range(d)] for b in range(d)]
+    power = base
     for n in range(1, order + 1):
-        if power is None:
-            power = [[PolyTrunc.zero(d, order) for _ in range(d)]
-                     for _ in range(d)]
-            for i in range(d):
-                for a in range(d):
-                    for b, c in g.bracket(i, a).items():
-                        power[b][a] = power[b][a] + PolyTrunc(d, order, {(i,): c})
-        else:
-            base = [[PolyTrunc.zero(d, order) for _ in range(d)]
-                    for _ in range(d)]
-            for i in range(d):
-                for a in range(d):
-                    for b, c in g.bracket(i, a).items():
-                        base[b][a] = base[b][a] + PolyTrunc(d, order, {(i,): c})
-            power = [[sum((power[b][m] * base[m][a]
-                           for m in range(d)),
+        if n > 1:
+            power = [[sum((power[b][m] * base[m][a] for m in range(d)),
                           PolyTrunc.zero(d, order)) for a in range(d)]
                      for b in range(d)]
         scale = Q((-1) ** n, factorial(n + 1))
@@ -226,12 +214,9 @@ class PolyVectors:
     def hom_space(self) -> BasisSpace:
         """Hom(S(g[1]), S(g)) window with keys (source, value)."""
         if self._hom_space is None:
-            items = []
-            for y in self.odd.space.keys:
-                for m in self.sym.space.keys:
-                    items.append(((y, m), len(y)))
-            self._hom_space = BasisSpace(
-                "Hom(S(%s[1]),Sg)<=%d" % (self.g.name, self.sym.cap), items)
+            self._hom_space = ce_hom_space(
+                self.odd, self.sym.space.keys,
+                "Hom(S(%s[1]),Sg)<=%d" % (self.g.name, self.sym.cap))
         return self._hom_space
 
     def phi_t(self) -> GradedMap:
@@ -270,27 +255,13 @@ class PolyVectors:
                            check=False)
         return out
 
-    def ce_differential_on_hom(self) -> GradedMap:
-        """d_CE on the Hom(S(g[1]), Sg) window, columnwise."""
-        hom = self.hom_space()
-        module = ce_module_sym(self.sym)
-        out = GradedMap(hom, hom, 1)
-        for (y, m) in hom.keys:
-            f = GradedMap(self.odd.space, self.sym.space, len(y),
-                          columns={y: GradedVector.basis(self.sym.space, m)})
-            df = ce_differential(self.odd, module, f)
-            col = GradedVector.zero(hom)
-            for y2, vec in df.columns.items():
-                for m2, c in vec.coeffs.items():
-                    col.add_term((y2, m2), c)
-            out.set_column((y, m), col, check=False)
-        return out
-
     def d_t(self) -> GradedMap:
         """The Schouten-type differential, conjugated through phi_T."""
         if self._d_t is None:
+            d_ce = ce_hom_differential(self.odd, ce_module_sym(self.sym),
+                                       self.hom_space())
             self._d_t = self.phi_t_inverse().compose(
-                self.ce_differential_on_hom().compose(self.phi_t()))
+                d_ce.compose(self.phi_t()))
         return self._d_t
 
 
@@ -340,16 +311,7 @@ def hkr(tp: PolyVectors, B: DgAlgebra, t: GradedVector):
     for key, c in t.coeffs.items():
         (bkey, mkey) = key
         q = len(mkey)
-        r = len(bkey) - q
-        piece = hkr_cochain(tp, B, key, c)
-        if (q, r) in parts:
-            prev = parts[(q, r)]
-            parts[(q, r)] = Derived(
-                B, B, q, r,
-                lambda w, a=prev, b=piece: a.value(w) + b.value(w),
-                label="hkr-sum")
-        else:
-            parts[(q, r)] = piece
+        add_cochain(parts, (q, len(bkey) - q), hkr_cochain(tp, B, key, c))
     return parts
 
 
@@ -681,10 +643,8 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
         live = set()        # the words of this stage with a non-zero sigma
         current = LinearXCochain(ctx, 0, q, r, columns)
         del_current = del_x(current)
-        words = [()] if q == 0 else \
-            [w + (b,) for w in _dual_words(letters, q - 1) for b in letters]
         fB_q = fB_cols.setdefault(q, {})
-        for bw in word_order(words):
+        for bw in word_order(words_of(letters, q)):
             before, here = reads(bw)
             if q and live_prev.isdisjoint(before) and live.isdisjoint(here):
                 continue
@@ -768,13 +728,6 @@ def _target_reads(B, letters):
     return reads
 
 
-def _dual_words(letters, q):
-    words = [()]
-    for _ in range(q):
-        words = [w + (b,) for w in words for b in letters]
-    return words
-
-
 class LinearXCochain(XCochain):
     """X-part cochain with left-linear values stored per dual word."""
 
@@ -816,8 +769,7 @@ def lift_residuals(ctx: DufloContext, u0: GradedVector, components: dict,
     for (p, q, r), piece in sorted(pieces.items()):
         if q > max_q:
             continue
-        words = _dual_words(letters, q)
-        for bw in words:
+        for bw in words_of(letters, q):
             for xk in x_keys:
                 for aw in ([()] if p == 0 else [(a,) for a in a_letters]):
                     try:

@@ -18,7 +18,10 @@ and printed reports do not see the difference.
 
 Row reduction is sparse and fraction-free: rows are ``{column: int}`` dicts,
 eliminated column by column from the left, each combination divided by its
-content so entries stay integral and small.
+content so entries stay integral and small.  The rest of the package hands
+sparse vectors (or ``{key: coeff}`` dicts) to ``solve``, ``rank``,
+``kernel_basis`` and ``cohomology_slice``; only this module lays them out as
+the dense rows ``bareiss_echelon`` reads.
 """
 
 from __future__ import annotations
@@ -596,66 +599,58 @@ def rows_solve(rows, rhs):
 
 
 # ---------------------------------------------------------------------------
-# degree-slice linear algebra on graded maps
+# linear algebra on sparse vectors
 # ---------------------------------------------------------------------------
 
-def slice_matrix(f: GradedMap, degree: int):
-    """Dense matrix of ``f`` on the degree-homogeneous source slice.
+def _coeffs(v):
+    return v.coeffs if isinstance(v, GradedVector) else v
 
-    Returns ``(rows, source_keys, target_keys)`` with rows indexed by target
-    keys of degree ``degree + f.shift``.
+
+def _column_rows(columns, target=None):
+    """The dense rows whose j-th column is ``columns[j]``.
+
+    Columns (and the target) are GradedVectors or ``{key: coeff}`` dicts.
+    There is one row per key some of them uses, in order of first use: the
+    pivots are the leftmost independent columns and free variables are
+    zero, so no solution, nullspace basis or rank depends on the row order
+    or on rows that are zero everywhere.  Returns ``(rows, keys)``.
     """
-    source_keys = list(f.source.keys_of_degree(degree))
-    target_keys = list(f.target.keys_of_degree(degree + f.shift))
-    tindex = {k: i for i, k in enumerate(target_keys)}
-    rows = [[ZERO] * len(source_keys) for _ in target_keys]
-    for j, skey in enumerate(source_keys):
-        col = f.columns.get(skey)
-        if col is None:
-            continue
-        for tkey, c in col.coeffs.items():
-            rows[tindex[tkey]][j] = c
-    return rows, source_keys, target_keys
+    vectors = [_coeffs(v) for v in columns]
+    index = {}
+    for v in vectors + ([] if target is None else [_coeffs(target)]):
+        for key in v:
+            index.setdefault(key, len(index))
+    rows = [[ZERO] * len(vectors) for _ in index]
+    for j, v in enumerate(vectors):
+        for key, c in v.items():
+            rows[index[key]][j] = c
+    return rows, list(index)
+
+
+def solve(columns, target):
+    """Elimination-minimal coefficients ``x`` with ``sum_j x[j] columns[j]
+    = target``, as a list, or None when the target is not in their span."""
+    rows, keys = _column_rows(columns, target)
+    if not rows:
+        return [ZERO] * len(columns)
+    coeffs = _coeffs(target)
+    return rows_solve(rows, [coeffs.get(k, ZERO) for k in keys])
+
+
+def rank(vectors) -> int:
+    """Dimension of the span of GradedVectors or ``{key: coeff}`` dicts."""
+    return rows_rank(_column_rows(vectors)[0])
 
 
 def kernel_basis(f: GradedMap, degree: int):
     """Exact rational basis of ker(f) on the degree slice of the source."""
-    rows, source_keys, _ = slice_matrix(f, degree)
+    source_keys = f.source.keys_of_degree(degree)
     if not source_keys:
         return []
-    sols = rows_nullspace(rows, len(source_keys))
-    out = []
-    for sol in sols:
-        v = GradedVector(f.source)
-        for j, c in enumerate(sol):
-            if c:
-                v.coeffs[source_keys[j]] = c
-        out.append(v)
-    return out
-
-
-def rank_on_slice(f: GradedMap, degree: int) -> int:
-    rows, source_keys, _ = slice_matrix(f, degree)
-    if not source_keys:
-        return 0
-    cols = [[rows[i][j] for i in range(len(rows))] for j in range(len(source_keys))]
-    return rows_rank(cols)
-
-
-def image_vectors(f: GradedMap, degree: int):
-    """Images of the degree-slice basis (spanning set of the image)."""
-    return [f.column(k) for k in f.source.keys_of_degree(degree)]
-
-
-def vectors_to_rows(vectors, keys):
-    index = {k: i for i, k in enumerate(keys)}
-    rows = []
-    for v in vectors:
-        row = [ZERO] * len(keys)
-        for key, c in v.coeffs.items():
-            row[index[key]] = c
-        rows.append(row)
-    return rows
+    rows, _ = _column_rows([f.columns.get(k, {}) for k in source_keys])
+    return [GradedVector(f.source, {source_keys[j]: c
+                                    for j, c in enumerate(sol) if c})
+            for sol in rows_nullspace(rows, len(source_keys))]
 
 
 def cohomology_slice(d_in: GradedMap, d_out: GradedMap, degree: int):
@@ -663,64 +658,24 @@ def cohomology_slice(d_in: GradedMap, d_out: GradedMap, degree: int):
 
     ``d_in`` lands in the degree-``degree`` slice of its target, ``d_out``
     starts there; ``d_out . d_in = 0`` is a precondition and is checked.
+    The representatives are the kernel basis vectors whose columns are
+    pivots of ``[images | kernel basis]``: each one in turn that is
+    independent of the images and of the representatives before it.
     """
     if d_in.target is not d_out.source:
         raise StructuralError("complex slices do not line up")
+    images = []
     for key in d_in.source.keys_of_degree(degree - d_in.shift):
-        if d_out(d_in.column(key)):
+        img = d_in.column(key)
+        if d_out(img):
             raise StructuralError("differential does not square to zero at %r" % (key,))
+        if img:
+            images.append(img)
     kern = kernel_basis(d_out, degree)
-    imgs = [v for v in image_vectors(d_in, degree - d_in.shift) if v]
-    keys = list(d_out.source.keys_of_degree(degree))
-    if not keys:
-        return 0, []
-    img_rows = vectors_to_rows(imgs, keys)
-    base_rank = rows_rank(img_rows)
-    dim = len(kern) - base_rank
-    reps = []
-    current = list(img_rows)
-    current_rank = base_rank
-    for v in kern:
-        row = vectors_to_rows([v], keys)[0]
-        r = rows_rank(current + [row])
-        if r > current_rank:
-            reps.append(v)
-            current.append(row)
-            current_rank = r
-        if current_rank == len(kern):
-            break
-    return dim, reps
-
-
-class ComplexSlice:
-    """A finite window of a cochain complex: spaces and consecutive maps."""
-
-    def __init__(self, spaces, maps):
-        if len(maps) != len(spaces) - 1:
-            raise StructuralError("need one map between consecutive spaces")
-        for i, f in enumerate(maps):
-            if f.source is not spaces[i] or f.target is not spaces[i + 1]:
-                raise StructuralError("map %d does not connect its spaces" % i)
-        self.spaces = list(spaces)
-        self.maps = list(maps)
-
-    def is_square_zero(self) -> bool:
-        for i in range(len(self.maps) - 1):
-            if not self.maps[i + 1].compose(self.maps[i]).is_zero():
-                return False
-        return True
-
-    def cohomology(self, i: int, degree: int):
-        """Cohomology at spot ``i`` restricted to a degree slice."""
-        if i == 0:
-            d_in = GradedMap.zero(self.spaces[0], self.spaces[0], self.maps[0].shift)
-        else:
-            d_in = self.maps[i - 1]
-        if i == len(self.maps):
-            d_out = GradedMap.zero(self.spaces[i], self.spaces[i], 1)
-        else:
-            d_out = self.maps[i]
-        return cohomology_slice(d_in, d_out, degree)
+    _, pivots = bareiss_echelon(_column_rows(images + kern)[0])
+    reps = [kern[j - len(images)] for j in pivots if j >= len(images)]
+    # the other pivots are images: their count is the rank of the image
+    return len(kern) - (len(pivots) - len(reps)), reps
 
 
 # ---------------------------------------------------------------------------

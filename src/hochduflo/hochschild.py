@@ -11,6 +11,8 @@ algebras.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .signs import sgn
 from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
                     bilinear, cohomology_slice, derive_seed, key_memo,
@@ -441,13 +443,10 @@ def random_cochain(algebra: DgAlgebra, module, p, r, seed, letters=None,
 # matrix-level interior cohomology for finite algebras
 # ---------------------------------------------------------------------------
 
-def words_of(space: BasisSpace, arity: int):
-    if arity < 0:
-        return []
-    words = [()]
-    for _ in range(arity):
-        words = [w + (k,) for w in words for k in space.keys]
-    return words
+def words_of(letters, arity: int):
+    """All words of length ``arity`` over ``letters``, the last letter
+    varying fastest; a negative arity has none."""
+    return list(product(letters, repeat=arity)) if arity >= 0 else []
 
 
 def total_cochain_space(algebra: DgAlgebra, module_space: BasisSpace,
@@ -459,7 +458,7 @@ def total_cochain_space(algebra: DgAlgebra, module_space: BasisSpace,
     """
     items = []
     for p in range(arity_cap + 1):
-        for word in words_of(algebra.space, p):
+        for word in words_of(algebra.space.keys, p):
             wdeg = algebra.word_degree(word)
             for vkey in module_space.keys:
                 if p + module_space.degree[vkey] - wdeg == total_degree:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .signs import sgn
 from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, derive_seed, key_memo,
-                    random_vector, rows_solve)
+                    random_vector, rank, solve)
 from .liealg import LieAlgebra, UgWindow, OddSym, DualOdd, contract, cocontract
 from .hochschild import (DgAlgebra, WordCochain, dual_odd_algebra, hoch_d,
                          ug_algebra)
@@ -410,25 +410,12 @@ class AugmentationCone:
                 continue
             slots = allowed_slots(len(u) - 1, len(x) + 1,
                                   self.space.degree[key] - 1)
-            rows_keys = sorted({k for k in self.space.keys
-                                if self.space.degree[k] ==
-                                self.space.degree[key]},
-                               key=repr)
-            index = {k: i for i, k in enumerate(rows_keys)}
-            mat = [[ZERO] * len(slots) for _ in rows_keys]
-            for j, skey in enumerate(slots):
-                for tkey, c in d_cone.column(skey).coeffs.items():
-                    mat[index[tkey]][j] = c
-            rhs = [target.coeff(k) for k in rows_keys]
-            sol = rows_solve(mat, rhs)
+            sol = solve([d_cone.column(s) for s in slots], target)
             if sol is None:
                 raise StructuralError(
                     "no filtration-compatible preimage at %r" % (key,))
-            col = GradedVector.zero(self.space)
-            for j, c in enumerate(sol):
-                if c:
-                    col.add_term(slots[j], c)
-            h.set_column(key, col, check=False)
+            h.set_column(key, GradedVector(self.space, {
+                s: c for s, c in zip(slots, sol) if c}), check=False)
         self._homotopy = h
         return h
 
@@ -755,18 +742,18 @@ def kernel_dimension_match(triple: LieTriple, side: str, degree: int,
     subspace cut out by one-sided linearity defects.  Returns the pair of
     dimensions (they must agree).
     """
-    from .exact import rows_nullspace
     if val_pbw is None:
         val_pbw = dom_pbw + 1
     dom = [k for k in triple.x_space.keys if len(k[0]) <= dom_pbw]
-    coords = [(x, v) for x in dom for v in triple.x_space.keys
+    coords = {(x, v) for x in dom for v in triple.x_space.keys
               if triple.x_space.degree[v] ==
               triple.x_space.degree[x] + degree
-              and len(v[0]) <= val_pbw]
-    index = {c: i for i, c in enumerate(coords)}
+              and len(v[0]) <= val_pbw}
+    arguments = {x for x, _ in coords}
 
     def assemble(pairs, move_argument, move_value, s_arg, s_val):
-        """Rows of phi(moved argument)*s_arg + (moved phi-value)*s_val."""
+        """Rows ``{coordinate: coeff}`` of phi(moved argument)*s_arg +
+        (moved phi-value)*s_val."""
         rows = []
         for (x, b) in pairs:
             contrib = {}
@@ -774,16 +761,16 @@ def kernel_dimension_match(triple: LieTriple, side: str, degree: int,
                 moved = move_argument(x, b)
             except WindowOverflow:
                 continue
-            if any(k not in {c0[0] for c0 in index} for k in moved.coeffs):
+            if any(k not in arguments for k in moved.coeffs):
                 continue            # the moved argument leaves the window
             for k, c in moved.items():
                 for v in triple.x_space.keys:
-                    if (k, v) in index:
+                    if (k, v) in coords:
                         entry = contrib.setdefault(v, {})
                         entry[(k, v)] = entry.get((k, v), ZERO) + s_arg * c
             skipped = False
             for v in triple.x_space.keys:
-                if (x, v) not in index:
+                if (x, v) not in coords:
                     continue
                 try:
                     img = move_value(v, b)
@@ -793,17 +780,8 @@ def kernel_dimension_match(triple: LieTriple, side: str, degree: int,
                 for t2, c2 in img.items():
                     entry = contrib.setdefault(t2, {})
                     entry[(x, v)] = entry.get((x, v), ZERO) + s_val * c2
-            if skipped:
-                continue
-            for t, cs in contrib.items():
-                row = [ZERO] * len(coords)
-                nonzero = False
-                for cc, val in cs.items():
-                    if val:
-                        row[index[cc]] = val
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
+            if not skipped:
+                rows.extend(contrib.values())
         return rows
 
     if side == "R":
@@ -825,8 +803,5 @@ def kernel_dimension_match(triple: LieTriple, side: str, degree: int,
     else:
         raise StructuralError("side must be R or L")
 
-    linear_dim = len(rows_nullspace(defect, len(coords))) if defect \
-        else len(coords)
-    kernel_dim = len(rows_nullspace(first, len(coords))) if first \
-        else len(coords)
-    return kernel_dim, linear_dim
+    # each dimension is a nullity: the coordinates less the rank
+    return len(coords) - rank(first), len(coords) - rank(defect)

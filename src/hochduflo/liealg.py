@@ -86,13 +86,17 @@ class LieAlgebra:
                         violations.append((i, j, k))
         return ValidationReport(self, tuple(violations))
 
+    def adjoint_matrices(self):
+        """``ad[i][b][a]``, the (b, a) entry of the matrix of ad_{e_i}."""
+        d = self.dimension
+        return [[[self.bracket(i, a).get(b, ZERO) for a in range(d)]
+                 for b in range(d)] for i in range(d)]
+
     def is_semisimple(self) -> bool:
         """Cartan's criterion: the Killing form tr(ad x ad y) is
         non-degenerate, decided by the exact rank of its matrix."""
         d = self.dimension
-        # ad[i][b][a] is the (b, a) entry of ad_{e_i}
-        ad = [[[self.bracket(i, a).get(b, ZERO) for a in range(d)]
-               for b in range(d)] for i in range(d)]
+        ad = self.adjoint_matrices()
         killing = [[sum(ad[i][b][a] * ad[j][a][b]
                         for a in range(d) for b in range(d))
                     for j in range(d)] for i in range(d)]
@@ -669,28 +673,28 @@ def ce_differential(odd: OddSym, module: CeModule, f: GradedMap) -> GradedMap:
     return out
 
 
-def ce_hom_matrix(odd: OddSym, module: CeModule, value_keys, k: int):
-    """d_CE from arity k to k+1 on a window of Hom(S(g[1]), M), as rows.
+def ce_hom_space(odd: OddSym, value_keys, name: str) -> BasisSpace:
+    """A window of Hom(S(g[1]), M): keys (y, u) of an odd monomial and a
+    value key, in degree len(y), the arity."""
+    return BasisSpace(name, (((y, u), len(y)) for y in odd.space.keys
+                             for u in value_keys))
 
-    Coordinates are pairs (y, u) of an odd monomial of length k (resp. k+1)
-    and a key of ``value_keys``; images leaving the window are dropped.
-    Returns ``(rows, source coordinates)``.
-    """
-    def hom_basis(n):
-        return [(y, u) for y in odd.space.keys if len(y) == n
-                for u in value_keys]
 
-    src = hom_basis(k)
-    tidx = {t: i for i, t in enumerate(hom_basis(k + 1))}
-    rows = [[ZERO] * len(src) for _ in tidx]
-    for j, (y, u) in enumerate(src):
-        f = GradedMap(odd.space, module.space, k, columns={
+def ce_hom_differential(odd: OddSym, module: CeModule,
+                        hom: BasisSpace) -> GradedMap:
+    """d_CE on a ``ce_hom_space`` window, columnwise; images leaving the
+    window are dropped."""
+    out = GradedMap(hom, hom, 1)
+    for (y, u) in hom.keys:
+        f = GradedMap(odd.space, module.space, len(y), columns={
             y: GradedVector.basis(module.space, u)})
-        for y2, col in ce_differential(odd, module, f).columns.items():
-            for u2, c in col.coeffs.items():
-                if (y2, u2) in tidx:
-                    rows[tidx[(y2, u2)]][j] = c
-    return rows, src
+        col = GradedVector.zero(hom)
+        for y2, vec in ce_differential(odd, module, f).columns.items():
+            for u2, c in vec.coeffs.items():
+                if (y2, u2) in hom:
+                    col.add_term((y2, u2), c)
+        out.set_column((y, u), col, check=False)
+    return out
 
 
 def invariants_basis(g: LieAlgebra, module: CeModule, degree: int = 0):

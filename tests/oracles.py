@@ -8,15 +8,17 @@ Laplace-style expansion, series coefficients by direct Cauchy products, and
 PBW normal ordering by a different rewriting strategy.  The X-part
 differentials of the trio complex are kept as the package wrote them before
 it read the X-part words flat: one slot evaluator and one loop per kind of
-letter.  The Duflo lift is kept as it swept every dual word.
+letter.  The Duflo lift is kept as it swept every dual word, and slice
+cohomology as it re-eliminated once per kernel vector.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from hochduflo.duflo import (DufloContext, LinearXCochain, _dual_words,
-                             null_homotopy)
-from hochduflo.exact import ZERO, GradedVector, StructuralError
+from hochduflo.duflo import DufloContext, LinearXCochain, null_homotopy
+from hochduflo.exact import (GradedMap, GradedVector, StructuralError,
+                             kernel_basis, rows_rank)
+from hochduflo.hochschild import words_of
 from hochduflo.signs import sgn
 from hochduflo.trio import XDerived, d_ax, d_right, d_xb, del_x
 
@@ -179,6 +181,59 @@ def dense_rows_solve(rows, rhs):
 
 
 # -- permutation and Koszul signs by inversion counting ----------------------
+
+# -- slice cohomology, one re-elimination per kernel vector -----------------
+
+def _image_vectors(f: GradedMap, degree: int):
+    """Images of the degree-slice basis (spanning set of the image)."""
+    return [f.column(k) for k in f.source.keys_of_degree(degree)]
+
+
+def _vectors_to_rows(vectors, keys):
+    index = {k: i for i, k in enumerate(keys)}
+    rows = []
+    for v in vectors:
+        row = [ZERO] * len(keys)
+        for key, c in v.coeffs.items():
+            row[index[key]] = c
+        rows.append(row)
+    return rows
+
+
+def greedy_cohomology_slice(d_in: GradedMap, d_out: GradedMap, degree: int):
+    """Dimension and representatives of ker(d_out)/im(d_in) on a slice.
+
+    The package's slice cohomology as it was before it took the
+    representatives from one elimination: each kernel vector in turn is
+    kept when it raises the rank of the images and the vectors kept so far.
+    """
+    if d_in.target is not d_out.source:
+        raise StructuralError("complex slices do not line up")
+    for key in d_in.source.keys_of_degree(degree - d_in.shift):
+        if d_out(d_in.column(key)):
+            raise StructuralError("differential does not square to zero at %r" % (key,))
+    kern = kernel_basis(d_out, degree)
+    imgs = [v for v in _image_vectors(d_in, degree - d_in.shift) if v]
+    keys = list(d_out.source.keys_of_degree(degree))
+    if not keys:
+        return 0, []
+    img_rows = _vectors_to_rows(imgs, keys)
+    base_rank = rows_rank(img_rows)
+    dim = len(kern) - base_rank
+    reps = []
+    current = list(img_rows)
+    current_rank = base_rank
+    for v in kern:
+        row = _vectors_to_rows([v], keys)[0]
+        r = rows_rank(current + [row])
+        if r > current_rank:
+            reps.append(v)
+            current.append(row)
+            current_rank = r
+        if current_rank == len(kern):
+            break
+    return dim, reps
+
 
 def perm_sign_oracle(perm):
     inv = 0
@@ -451,7 +506,7 @@ def full_sweep_lift(ctx: DufloContext, u0: GradedVector,
         columns = {}
         current = LinearXCochain(ctx, 0, q, r, columns)
         del_current = del_x(current)
-        words = [()] if q == 0 else             [w + (b,) for w in _dual_words(letters, q - 1) for b in letters]
+        words = [()] if q == 0 else             [w + (b,) for w in words_of(letters, q - 1) for b in letters]
         changed = False
         for bw in word_order(words):
             # live view: the absorber mutates these vectors in place

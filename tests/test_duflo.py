@@ -8,7 +8,7 @@ import pytest
 
 from hochduflo import duflo
 from hochduflo.exact import GradedVector, derive_seed
-from hochduflo.hochschild import Cochain
+from hochduflo.hochschild import Cochain, words_of
 from hochduflo.liealg import (LieAlgebra, SymPoly, ce_module_sym,
                               interior_product, invariants_basis, pbw_map)
 from hochduflo.series import PolyTrunc, duflo_log_coefficients
@@ -261,14 +261,13 @@ def test_lift_stops_after_two_quiet_stages(heis3, monkeypatch):
     staircase stops after two quiet stages, so a larger ``max_extra``
     enters no further stage and changes nothing."""
     ctx, u0 = corrected_casimir(heis3)
-    dual_words = duflo._dual_words
     entered = []
 
     def counting(letters, q):
-        entered.append(q + 1)           # stage q + 1 lists its words
-        return dual_words(letters, q)
+        entered.append(q)               # stage q lists its words
+        return words_of(letters, q)
 
-    monkeypatch.setattr(duflo, "_dual_words", counting)
+    monkeypatch.setattr(duflo, "words_of", counting)
     lifts = {}
     for max_extra in (1, 2):
         entered.clear()
@@ -278,7 +277,7 @@ def test_lift_stops_after_two_quiet_stages(heis3, monkeypatch):
     assert lifts[1] == lifts[2]
     (gens, cols), stages = lifts[2]
     last = max([q for q, _ in gens] + [k[0] for k, _ in cols])
-    assert stages == list(range(1, max(last + 2, heis3.dimension) + 1))
+    assert stages == list(range(0, max(last + 2, heis3.dimension) + 1))
 
 
 def random_linear_value(ctx, rng):
@@ -305,8 +304,8 @@ def test_lift_target_vanishes_on_words_no_live_column_reaches(name, stages):
     gens = [((), y) for y in ctx.odd.space.keys]
     rng = random.Random(derive_seed("skip-rule", name))
     for q in stages:
-        before_words = duflo._dual_words(letters, q - 1)
-        words = duflo._dual_words(letters, q)
+        before_words = words_of(letters, q - 1)
+        words = words_of(letters, q)
         for _ in range(6):
             prev = LinearXCochain(ctx, 0, q - 1, -q, {
                 w: random_linear_value(ctx, rng)

@@ -1,21 +1,24 @@
 """Exact core: spaces, vectors, maps, elimination, slice cohomology."""
 
+import importlib.util
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
-                             StructuralError, WindowOverflow, ComplexSlice,
-                             bilinear, cohomology_slice, kernel_basis,
-                             random_vector, rank_on_slice, rows_nullspace,
-                             rows_rank, rows_solve)
-from hochduflo.liealg import OddSym, DualOdd
+                             StructuralError, WindowOverflow, bilinear,
+                             cohomology_slice, kernel_basis, random_vector,
+                             rank, rows_nullspace, rows_rank, rows_solve,
+                             solve)
+from hochduflo.hochschild import dual_odd_algebra, interior_hh
+from hochduflo.liealg import DualOdd, LieAlgebra, OddSym
 from hochduflo.keller import LieTriple
 
 from oracles import (dense_rows_nullspace, dense_rows_rank, dense_rows_solve,
-                     gauss_nullity, gauss_rank)
+                     gauss_nullity, gauss_rank, greedy_cohomology_slice)
 
 
 def small_space(name="V"):
@@ -188,10 +191,12 @@ def test_rank_nullity_on_random_maps():
                     col.add_term(t, c)
             m.set_column(key, col, check=False)
         kern = kernel_basis(m, 0)
-        rank = rank_on_slice(m, 0)
-        assert len(kern) + rank == V.dim
+        image_rank = rank([m.column(s) for s in V.keys])
+        assert len(kern) + image_rank == V.dim
         rows = [[m.column(s).coeff(t) for s in V.keys] for t in W.keys]
-        assert rank == gauss_rank(rows)
+        assert image_rank == gauss_rank(rows)
+        for v in kern:
+            assert not m(v)
 
 
 def test_random_vector_determinism_and_spread():
@@ -254,6 +259,78 @@ def test_sparse_elimination_matches_dense_bareiss(system):
     assert solution == dense_rows_solve(rows, rhs)
     for vec in nullspace + [solution or []]:
         assert all(type(x) in (int, Q) for x in vec)
+    # the same system as sparse columns: rows in order of first use, none
+    # for a row that is zero everywhere
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+               for j in range(ncols)]
+    assert rank(columns) == rows_rank(rows)
+    target = {i: c for i, c in enumerate(rhs) if c}
+    assert solve(columns, target) == (solution if rows else [0] * ncols)
+
+
+@st.composite
+def random_complexes(draw):
+    """A slice U -> V -> W of a complex on one graded space: a random
+    ``d_out`` on V, and a ``d_in`` whose columns are random combinations of
+    its kernel basis, with zero and repeated columns among them."""
+    dims = [draw(st.integers(0, 5)) for _ in range(3)]
+    space = BasisSpace("C", [((n, i), n) for n in range(3)
+                             for i in range(dims[n])])
+    coeff = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+    d_out = GradedMap(space, space, 1)
+    for key in space.keys_of_degree(1):
+        d_out.set_column(key, GradedVector(space, {
+            t: draw(coeff) for t in space.keys_of_degree(2)
+            if draw(st.integers(0, 2))}))
+    kern = kernel_basis(d_out, 1)
+    d_in = GradedMap(space, space, 1)
+    for key in space.keys_of_degree(0):
+        col = GradedVector.zero(space)
+        for v in kern:
+            col.add_inplace(v, draw(st.integers(-2, 2)))
+        d_in.set_column(key, col)
+    return d_in, d_out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(random_complexes())
+def test_slice_cohomology_matches_greedy_oracle(complex_slice):
+    """One elimination of [images | kernel basis] picks the representatives
+    the per-vector rank loop picked."""
+    d_in, d_out = complex_slice
+    assert cohomology_slice(d_in, d_out, 1) == \
+        greedy_cohomology_slice(d_in, d_out, 1)
+
+
+def load_workloads():
+    """``perfbench/workloads.py`` as a module (``perfbench`` is no
+    package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_interior_hh_matches_greedy_oracle(monkeypatch):
+    """The benchmark's interior Hochschild cases give the same dimensions
+    and representatives through the greedy slice cohomology."""
+    import hochduflo.hochschild as hochschild
+    cases = load_workloads().INTERIOR_HH
+    algebras = {name: dual_odd_algebra(DualOdd(g), OddSym(g))
+                for name, g in ((name, getattr(LieAlgebra, name)())
+                                for name, _ in cases)}
+    got = {(name, window, degree): interior_hh(algebras[name], degree, window)
+           for (name, window), dims in cases.items() for degree in dims}
+    monkeypatch.setattr(hochschild, "cohomology_slice",
+                        greedy_cohomology_slice)
+    for (name, window, degree), (dim, reps) in got.items():
+        assert dim == cases[name, window][degree]
+        # each call builds its own windows, so compare coefficients
+        want_dim, want_reps = interior_hh(algebras[name], degree, window)
+        assert dim == want_dim
+        assert [v.coeffs for v in reps] == [v.coeffs for v in want_reps]
 
 
 # -- int-first coefficients against all-Fraction copies --------------------
@@ -352,7 +429,7 @@ def test_solver_membership():
 def test_complex_slice_square_zero(aff1):
     odd, dual = OddSym(aff1), DualOdd(aff1)
     d_g = dual.differential(odd)
-    sl = ComplexSlice([dual.space, dual.space, dual.space], [d_g, d_g])
-    assert sl.is_square_zero()
-    dim0, _ = sl.cohomology(0, 0)
+    assert d_g.compose(d_g).is_zero()
+    dim0, _ = cohomology_slice(GradedMap.zero(dual.space, dual.space, 1),
+                               d_g, 0)
     assert dim0 == 1

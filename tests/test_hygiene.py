@@ -1,6 +1,7 @@
 """Source hygiene: no unused top-level import, no definition without a
-caller, no true division in the package, and every entry point the
-benchmark's tracer wraps still exists."""
+caller, no true division in the package, no dense row built outside
+``exact.py``, and every entry point the benchmark's tracer wraps still
+exists."""
 
 import ast
 import importlib.util
@@ -250,6 +251,34 @@ def test_no_true_division_in_src():
              for path in SOURCES
              for line in true_divisions(path.read_text())]
     assert not found, "true division in src: " + ", ".join(found)
+
+
+def zero_lists(source):
+    """Lines of the ``[ZERO] * n`` lists of a module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Mult)
+                  and any(isinstance(side, ast.List)
+                          and any(isinstance(e, ast.Name) and e.id == "ZERO"
+                                  for e in side.elts)
+                          for side in (node.left, node.right)))
+
+
+def test_zero_list_scanner():
+    source = ("a = [ZERO] * 3\nb = 2 * [ZERO]\nc = [ONE] + [ZERO] * n\n"
+              "d = [0] * 4\ne = [[ZERO] * n for _ in r]\n")
+    assert zero_lists(source) == [1, 2, 3, 5]
+
+
+def test_dense_rows_only_in_exact():
+    """Only ``exact.py`` lays sparse vectors out as dense rows; the
+    ``[ZERO] *`` lists of ``series.py`` are truncated series, not matrices."""
+    assert SOURCES
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in SOURCES
+             if path.name not in ("exact.py", "series.py")
+             for line in zero_lists(path.read_text())]
+    assert not found, "[ZERO] * lists outside exact.py: " + ", ".join(found)
 
 
 def test_tracer_targets_exist():

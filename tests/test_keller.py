@@ -246,7 +246,7 @@ def test_cone_homotopy(aff1, sl2):
 def test_cone_homotopy_matches_dense_elimination(name, monkeypatch):
     """The sparse solver picks the same elimination-minimal preimages as the
     dense Bareiss solver: every column of the cone homotopy is equal."""
-    import hochduflo.keller as keller
+    import hochduflo.exact as exact
     from oracles import dense_rows_solve
 
     def build():
@@ -255,7 +255,7 @@ def test_cone_homotopy_matches_dense_elimination(name, monkeypatch):
         return cone.space.keys, cone.build_homotopy()
 
     keys, sparse = build()
-    monkeypatch.setattr(keller, "rows_solve", dense_rows_solve)
+    monkeypatch.setattr(exact, "rows_solve", dense_rows_solve)
     dense_keys, dense = build()
     assert keys == dense_keys
     assert any(sparse.column(k) for k in keys)
