@@ -440,28 +440,19 @@ class DufloContext:
         return out
 
     def homotopy(self, e: PullbackElement) -> GradedMap:
-        """h, extended by zero on the A- and T-parts."""
-        out = GradedMap(self.odd.space, self.ug.space, 0)
-        total = {}
-        for key, f in e.fX.items():
-            piece = self.homotopy_component(f)
-            total.setdefault(piece.shift, []).append(piece)
-        if not total:
-            return out
-        if len(total) > 1:
-            # mixed total degrees: return the graded pieces summed per shift
-            pieces = []
-            for shift, maps in sorted(total.items()):
-                acc = maps[0]
-                for m in maps[1:]:
-                    acc = acc + m
-                pieces.append(acc)
-            return pieces
-        shift, maps = next(iter(total.items()))
-        acc = GradedMap(self.odd.space, self.ug.space, shift)
-        for m in maps:
-            acc = acc + m
-        return acc
+        """h, extended by zero on the A- and T-parts.
+
+        The X-part components must share one total degree; mixed degrees
+        raise StructuralError.
+        """
+        pieces = [self.homotopy_component(f) for f in e.fX.values()]
+        shifts = sorted({m.shift for m in pieces}) or [0]
+        if len(shifts) > 1:
+            raise StructuralError("mixed degrees %s in the X-part" % shifts)
+        out = GradedMap(self.odd.space, self.ug.space, shifts[0])
+        for m in pieces:
+            out = out + m
+        return out
 
     def ce_of(self, f: GradedMap) -> GradedMap:
         return ce_differential(self.odd, self.ce_ug, f)
@@ -493,11 +484,7 @@ class DufloContext:
         """psi_1 - psi_2 - h(D e) - d_CE(h e); zero exactly on the window."""
         lhs = self.psi_1(e, total_degree) - self.psi_2(e, total_degree)
         De = self.pullback_differential(e)
-        h_de = self.homotopy(De)
-        if isinstance(h_de, list):
-            raise StructuralError("mixed degrees in the differential image")
-        he = self.homotopy(e)
-        rhs = h_de + self.ce_of(he)
+        rhs = self.homotopy(De) + self.ce_of(self.homotopy(e))
         return lhs - rhs
 
 
@@ -543,11 +530,7 @@ class LinearValue:
         got = self.gen.get(y)
         if not got:
             return GradedVector.zero(self.ctx.X.space)
-        out = GradedVector.zero(self.ctx.X.space)
-        for (u2, y2), c in got.coeffs.items():
-            for k, c2 in self.ctx.ug.mul_keys(u, u2).items():
-                out.add_term((k, y2), c * c2)
-        return out
+        return self.ctx.X.lmul(u, got)
 
     def apply(self, v: GradedVector) -> GradedVector:
         out = GradedVector.zero(self.ctx.X.space)

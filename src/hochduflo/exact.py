@@ -292,8 +292,8 @@ class GradedMap:
     declared shift at insertion time.  An optional ``covered`` set restricts
     the honest domain: reading outside it raises WindowOverflow instead of
     silently returning zero (used for operators whose true value would leave
-    the truncation window).  Coverage propagates through sums, scalings and
-    compositions.
+    the truncation window; :func:`guarded_map` builds them).  Coverage
+    propagates through sums, scalings and compositions.
     """
 
     __slots__ = ("source", "target", "shift", "columns", "covered")
@@ -441,10 +441,23 @@ class GradedMap:
             self.source.name, self.target.name, self.shift, len(self.columns))
 
 
-def PartialMap(source, target, shift, covered, columns=None, check=True):
-    """GradedMap defined only on a covered subfamily of source keys."""
-    return GradedMap(source, target, shift, columns=columns, check=check,
-                     covered=covered)
+def guarded_map(source, target, shift, col_fn, keys=None) -> GradedMap:
+    """The map whose column at each key is ``col_fn(key)``, on ``keys``.
+
+    ``keys`` defaults to every source key.  A key whose column raises
+    WindowOverflow is not stored and not covered, so reading it later
+    raises again instead of returning zero.  The coverage is None only when
+    ``keys`` is the default and no column left the window.
+    """
+    columns = {}
+    for key in source.keys if keys is None else keys:
+        try:
+            columns[key] = col_fn(key)
+        except WindowOverflow:
+            pass
+    full = keys is None and len(columns) == len(source.keys)
+    return GradedMap(source, target, shift, columns, check=False,
+                     covered=None if full else columns)
 
 
 # ---------------------------------------------------------------------------

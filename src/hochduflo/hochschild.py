@@ -305,7 +305,7 @@ class BimoduleOps(VectorValues):
 # ``lmul(a_key, m)`` and ``rmul(m, a_key)`` for the actions of a basis letter
 # and ``d(m)`` for the differential.  It is met by BimoduleOps (vector
 # values), trio.BLinearEnds and trio.ALinearEnds (End(X) values) and
-# keller.ModuleWithHomotopy (the acyclic modules of the tail bound).  A
+# keller.AbelianActionCone (the acyclic module of the tail bound).  A
 # zero vector is falsy and contributes nothing, so it is skipped; End(X)
 # maps and module elements are always truthy, so their actions always run
 # and the window refusals recorded in a map's coverage propagate.  The

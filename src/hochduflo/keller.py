@@ -21,12 +21,13 @@ from fractions import Fraction
 
 from .signs import sgn
 from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
-                    StructuralError, WindowOverflow, derive_seed, key_memo,
-                    random_vector, rank, solve)
+                    StructuralError, WindowOverflow, derive_seed, guarded_map,
+                    key_memo, random_vector, rank, solve)
 from .liealg import LieAlgebra, UgWindow, OddSym, DualOdd, contract, cocontract
 from .hochschild import (DgAlgebra, WordCochain, dual_odd_algebra, hoch_d,
                          ug_algebra)
-from .trio import Bimodule, XCochain
+from .trio import (Bimodule, XCochain, d_left, d_right, left_action_map,
+                   random_x_cochain)
 
 
 class LieTriple:
@@ -92,24 +93,7 @@ class LieTriple:
 
     def rho_a(self, a_vec: GradedVector) -> GradedMap:
         """Left multiplication; covers the keys whose product fits."""
-        columns = {}
-        covered = []
-        failed = False
-        for key in self.x_space.keys:
-            col = GradedVector.zero(self.x_space)
-            try:
-                for ak, c in a_vec.coeffs.items():
-                    col.add_inplace(self._lmul_key(ak, key), c)
-            except WindowOverflow:
-                failed = True
-                continue
-            covered.append(key)
-            columns[key] = col
-        out = GradedMap(self.x_space, self.x_space, 0,
-                        covered=covered if failed else None)
-        for key, col in columns.items():
-            out.set_column(key, col, check=False)
-        return out
+        return left_action_map(self.X, a_vec, 0)
 
     def rho_b(self, b_vec: GradedVector) -> GradedMap:
         shift = b_vec.degree() or 0
@@ -257,10 +241,9 @@ class LieTriple:
         """Random left-A-linear endomorphism: free on the S(g[1]) slots.
 
         The Ug-linear extension u (x) x -> u . phi0(x) only fits in the
-        window for PBW words of length <= cap - value_pbw, so the result is
-        a PartialMap that refuses loudly beyond that region.
+        window for PBW words of length <= cap - value_pbw, so the result
+        covers only those keys and refuses loudly beyond them.
         """
-        from .exact import PartialMap
         base = {}
         for x in self.odd.space.keys:
             deg = -len(x) + shift
@@ -271,15 +254,9 @@ class LieTriple:
                 {k: c for k, c in vec.coeffs.items() if len(k[0]) <= value_pbw})
         covered = [k for k in self.x_space.keys
                    if len(k[0]) + value_pbw <= self.pbw_cap]
-        out = PartialMap(self.x_space, self.x_space, shift, covered)
-        for (u, x) in covered:
-            got = base[x]
-            col = GradedVector.zero(self.x_space)
-            for (u2, x2), c in got.coeffs.items():
-                for k, c2 in self.ug.mul_keys(u, u2).items():
-                    col.add_term((k, x2), c * c2)
-            out.set_column((u, x), col, check=False)
-        return out
+        columns = {(u, x): self.X.lmul(u, base[x]) for (u, x) in covered}
+        return GradedMap(self.x_space, self.x_space, shift, columns,
+                         check=False, covered=covered)
 
     def blinear_defects(self, phi: GradedMap):
         """Right-B-linearity defects phi(x.b) - phi(x).b over the bases."""
@@ -457,25 +434,17 @@ class AugmentationCone:
 # tail-vanishing machinery on Hochschild cochains with module values
 # ---------------------------------------------------------------------------
 
-class ModuleWithHomotopy:
-    """Duck-typed acyclic bimodule: values with actions and a homotopy.
+class ModuleCochain(WordCochain):
+    """Hom(A^{(x)p}, M) cochain of degree r with duck-typed module values.
 
-    Required piece: ``zero(degree)``, ``add(m1, m2)``, ``scale(m, c)``,
-    ``is_zero(m)``, ``d(m)``, ``h(m)``, ``lmul(a_key, m)``, ``rmul(m, a_key)``
-    -- the value-module protocol of :func:`hochschild.hoch_d` plus the
-    homotopy.
+    The module M is an acyclic bimodule with a chosen contracting homotopy:
+    ``zero(degree)``, ``add(m1, m2)``, ``scale(m, c)``, ``is_zero(m)``,
+    ``d(m)``, ``h(m)``, ``lmul(a_key, m)``, ``rmul(m, a_key)`` -- the
+    value-module protocol of :func:`hochschild.hoch_d` plus the homotopy,
+    as :class:`AbelianActionCone` provides them.
     """
 
-    def __init__(self, **ops):
-        for name in ("zero", "add", "scale", "is_zero", "d", "h",
-                     "lmul", "rmul"):
-            setattr(self, name, ops[name])
-
-
-class ModuleCochain(WordCochain):
-    """Hom(A^{(x)p}, M) cochain of degree r with duck-typed module values."""
-
-    def __init__(self, algebra: DgAlgebra, module: ModuleWithHomotopy,
+    def __init__(self, algebra: DgAlgebra, module: AbelianActionCone,
                  p: int, fn, label="", r=0):
         self.algebra = algebra
         self.module = self.values = module
@@ -588,15 +557,11 @@ class AbelianActionCone:
 
         The domain coverage shrinks by one slot at the window top.
         """
-        t = (0,)
-        base = self._covered(g)
-        covered = [u for u in base if (u + t) in base]
-        out = GradedMap(self.dom.space, self.val.space, 0, covered=covered)
-        for u in covered:
-            col = self.val.mul(g.column(u), GradedVector.basis(self.val.space, t)) \
-                - g.column(u + t)
-            out.set_column(u, col, check=False)
-        return out
+        t = GradedVector.basis(self.val.space, (0,))
+        return guarded_map(
+            self.dom.space, self.val.space, 0,
+            lambda u: self.val.mul(g.column(u), t) - g.column(u + (0,)),
+            keys=g.covered)
 
     def d(self, m):
         v, g0, g1 = m
@@ -620,49 +585,36 @@ class AbelianActionCone:
             covered.append((0,) * (n + 1))
             prev = step
             n += 1
-        G = GradedMap(self.dom.space, self.val.space, 0, covered=covered)
-        for u, col in columns.items():
-            G.set_column(u, col, check=False)
+        G = GradedMap(self.dom.space, self.val.space, 0, columns,
+                      check=False, covered=covered)
         zero = GradedMap(self.dom.space, self.val.space, 0)
         return (h0, G, zero)
 
     def lmul(self, a_key, m):
         v, g0, g1 = m
-        av = self.val.mul(GradedVector.basis(self.val.space, a_key), v)
+        a = GradedVector.basis(self.val.space, a_key)
 
         def act(g):
-            covered = self._covered(g)
-            out = GradedMap(self.dom.space, self.val.space, 0,
-                            covered=None if g.covered is None else covered)
-            for u in covered:
-                out.set_column(u, self.val.mul(
-                    GradedVector.basis(self.val.space, a_key), g.column(u)),
-                    check=False)
-            return out
+            return guarded_map(self.dom.space, self.val.space, 0,
+                               lambda u: self.val.mul(a, g.column(u)),
+                               keys=g.covered)
 
-        return (av, act(g0), act(g1))
+        return (self.val.mul(a, v), act(g0), act(g1))
 
     def rmul(self, m, a_key):
         v, g0, g1 = m
-        va = self.val.mul(v, GradedVector.basis(self.val.space, a_key))
+        a = GradedVector.basis(self.val.space, a_key)
 
         def act(g):
-            base = self._covered(g)
-            covered = [u for u in base
-                       if tuple(sorted(a_key + u)) in base]
-            out = GradedMap(self.dom.space, self.val.space, 0, covered=covered)
-            for u in covered:
-                out.set_column(u, g.column(tuple(sorted(a_key + u))),
-                               check=False)
-            return out
+            return guarded_map(self.dom.space, self.val.space, 0,
+                               lambda u: g.column(tuple(sorted(a_key + u))),
+                               keys=g.covered)
 
-        return (va, act(g0), act(g1))
+        return (self.val.mul(v, a), act(g0), act(g1))
 
-    def module(self) -> ModuleWithHomotopy:
-        return ModuleWithHomotopy(
-            zero=self.zero, add=self.add, scale=self.scale,
-            is_zero=self.is_zero, d=self.d, h=self.h,
-            lmul=self.lmul, rmul=self.rmul)
+    def module(self) -> AbelianActionCone:
+        """The cone is its own value module (see :class:`ModuleCochain`)."""
+        return self
 
     def degree_bound(self) -> int:
         """Values vanish below degree -1, so tails die past s + 1."""
@@ -682,54 +634,37 @@ def row_exactness_certificate(triple: LieTriple, side: str, p: int, q: int,
     returns the list of inputs where the residual fails to vanish.
     """
     import random as _random
-    from .trio import random_x_cochain, d_right, d_left
+    if side == "R":
+        d, h, dp, dq = d_right, triple.h_right, 0, 1
+    elif side == "L":
+        d, h, dp, dq = d_left, triple.h_left, 1, 0
+    else:
+        raise StructuralError("side must be R or L")
     if value_pbw is None:
         value_pbw = max(triple.pbw_cap - 2, 1)
     a_pool = [k for k in triple.ug.space.keys if len(k) <= letters_pbw]
     x_pool = [k for k in triple.x_space.keys if len(k[0]) <= letters_pbw]
     b_pool = list(triple.dual.space.keys)
     rng = _random.Random(derive_seed("rowexact", side, p, q, r, seed))
+    f = random_x_cochain(
+        triple.A, triple.X, triple.B, p + dp, q + dq, r, seed,
+        a_letters=[k for k in triple.ug.space.keys
+                   if len(k) <= letters_pbw + 1],
+        x_letters=[k for k in triple.x_space.keys
+                   if len(k[0]) <= letters_pbw + 1],
+        b_letters=b_pool,
+        value_keys=[k for k in triple.x_space.keys if len(k[0]) <= value_pbw])
+    lhs1 = d(h(f))
+    lhs2 = h(d(f))
     bad = []
-    if side == "R":
-        f = random_x_cochain(
-            triple.A, triple.X, triple.B, p, q + 1, r, seed,
-            a_letters=[k for k in triple.ug.space.keys if len(k) <= letters_pbw + 1],
-            x_letters=[k for k in triple.x_space.keys
-                       if len(k[0]) <= letters_pbw + 1],
-            b_letters=b_pool,
-            value_keys=[k for k in triple.x_space.keys
-                        if len(k[0]) <= value_pbw])
-        lhs1 = d_right(triple.h_right(f))
-        lhs2 = triple.h_right(d_right(f))
-        for _ in range(n_inputs):
-            aw = tuple(rng.choice(a_pool) for _ in range(p))
-            xk = rng.choice(x_pool)
-            bw = tuple(rng.choice(b_pool) for _ in range(q + 1))
-            res = lhs1.value(aw, xk, bw) + lhs2.value(aw, xk, bw) \
-                - f.value(aw, xk, bw)
-            if res:
-                bad.append((aw, xk, bw, res))
-    elif side == "L":
-        f = random_x_cochain(
-            triple.A, triple.X, triple.B, p + 1, q, r, seed,
-            a_letters=[k for k in triple.ug.space.keys if len(k) <= letters_pbw + 1],
-            x_letters=[k for k in triple.x_space.keys
-                       if len(k[0]) <= letters_pbw + 1],
-            b_letters=b_pool,
-            value_keys=[k for k in triple.x_space.keys
-                        if len(k[0]) <= value_pbw])
-        lhs1 = d_left(triple.h_left(f))
-        lhs2 = triple.h_left(d_left(f))
-        for _ in range(n_inputs):
-            aw = tuple(rng.choice(a_pool) for _ in range(p + 1))
-            xk = rng.choice(x_pool)
-            bw = tuple(rng.choice(b_pool) for _ in range(q))
-            res = lhs1.value(aw, xk, bw) + lhs2.value(aw, xk, bw) \
-                - f.value(aw, xk, bw)
-            if res:
-                bad.append((aw, xk, bw, res))
-    else:
-        raise StructuralError("side must be R or L")
+    for _ in range(n_inputs):
+        aw = tuple(rng.choice(a_pool) for _ in range(p + dp))
+        xk = rng.choice(x_pool)
+        bw = tuple(rng.choice(b_pool) for _ in range(q + dq))
+        res = lhs1.value(aw, xk, bw) + lhs2.value(aw, xk, bw) \
+            - f.value(aw, xk, bw)
+        if res:
+            bad.append((aw, xk, bw, res))
     return bad
 
 

@@ -335,10 +335,7 @@ def suite_trio(g: LieAlgebra, trials=50, seed=0, pbw=4):
                 prod = cup(u, v)
                 for _ in range(4):
                     w = mixed_word(prod.p, rnd)
-                    val = prod.value(w)
-                    if val and any(k[0] != "X" for k in val.coeffs):
-                        return False, ("pair", i, t, w), None
-                    if i in (0, 1, 2, 3, 4) and val:
+                    if prod.value(w):
                         # the listed products vanish identically
                         return False, ("nonzero", i, t, w), None
         return True, None, None
@@ -903,7 +900,7 @@ def suite_homotopy_identity(g: LieAlgebra, trials=100, seed=0, pbw=8,
         e.t = GradedVector(ctx.tp.space, {
             k: c for k, c in e.t.coeffs.items() if len(k[1]) <= 2})
         h = ctx.homotopy(e)
-        return (not isinstance(h, list)) and h.is_zero(), None, None
+        return h.is_zero(), None, None
 
     _timed(report, "psi1-minus-psi2-equals-homotopy", check_identity)
     _timed(report, "sign-normalization-at-origin", check_sign_normalization)

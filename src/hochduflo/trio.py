@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .signs import sgn
 from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
-                    key_memo)
+                    guarded_map, key_memo)
 from .hochschild import (Cochain, DgAlgebra, WordCochain, add_cochain,
                          hoch_d, hoch_partial, seeded_value)
 
@@ -458,27 +458,6 @@ class EndCochain(WordCochain):
         return EndCochain(self.algebra, self.X, p, r, label=label, fn=fn)
 
 
-def _guarded_end_map(X: Bimodule, shift: int, col_fn, base_covered=None) -> GradedMap:
-    """Columnwise End(X)-map construction that records window failures."""
-    from .exact import WindowOverflow
-    keys = X.space.keys if base_covered is None else base_covered
-    columns = {}
-    failed = False
-    covered = []
-    for k in keys:
-        try:
-            columns[k] = col_fn(k)
-        except WindowOverflow:
-            failed = True
-            continue
-        covered.append(k)
-    cov = None if (not failed and base_covered is None) else covered
-    out = GradedMap(X.space, X.space, shift, covered=cov)
-    for k, col in columns.items():
-        out.set_column(k, col, check=False)
-    return out
-
-
 class EndMaps:
     """End(X): the GradedMaps X -> X, with the differential [d_X, -].
 
@@ -502,8 +481,8 @@ class EndMaps:
 
     def d(self, phi: GradedMap) -> GradedMap:
         X = self.X
-        return _guarded_end_map(
-            X, phi.shift + 1,
+        return guarded_map(
+            X.space, X.space, phi.shift + 1,
             lambda k: X.d_vec(phi.column(k))
             - phi(X.d_key(k)).scale(sgn(phi.shift)))
 
@@ -520,15 +499,14 @@ class BLinearEnds(EndMaps):
 
     def lmul(self, a_key, phi: GradedMap) -> GradedMap:
         X = self.X
-        return _guarded_end_map(
-            X, phi.shift + self.A.space.degree[a_key],
-            lambda k: X.lmul(a_key, phi.column(k)),
-            base_covered=phi.covered)
+        return guarded_map(
+            X.space, X.space, phi.shift + self.A.space.degree[a_key],
+            lambda k: X.lmul(a_key, phi.column(k)), keys=phi.covered)
 
     def rmul(self, phi: GradedMap, a_key) -> GradedMap:
         X = self.X
-        return _guarded_end_map(
-            X, phi.shift + self.A.space.degree[a_key],
+        return guarded_map(
+            X.space, X.space, phi.shift + self.A.space.degree[a_key],
             lambda k: phi(X.lmul_key(a_key, k)))
 
 
@@ -546,8 +524,8 @@ class ALinearEnds(EndMaps):
         # (b.phi)(x) = (-1)^{|b|(|phi|+|x|)} phi(x.b)
         X = self.X
         bdeg = self.B.space.degree[b_key]
-        return _guarded_end_map(
-            X, phi.shift + bdeg,
+        return guarded_map(
+            X.space, X.space, phi.shift + bdeg,
             lambda k: phi(X.rmul_key(k, b_key)).scale(
                 sgn(bdeg * (phi.shift + X.space.degree[k]))))
 
@@ -555,11 +533,11 @@ class ALinearEnds(EndMaps):
         # (phi.b)(x) = (-1)^{|b||x|} phi(x).b
         X = self.X
         bdeg = self.B.space.degree[b_key]
-        return _guarded_end_map(
-            X, phi.shift + bdeg,
+        return guarded_map(
+            X.space, X.space, phi.shift + bdeg,
             lambda k: X.rmul(phi.column(k), b_key).scale(
                 sgn(bdeg * X.space.degree[k])),
-            base_covered=phi.covered)
+            keys=phi.covered)
 
 
 def phi_embed(f: EndCochain, B: DgAlgebra) -> XCochain:
@@ -587,32 +565,26 @@ def psi_embed(f: EndCochain, A: DgAlgebra) -> XCochain:
     return XDerived(A, X, B, 0, q, r, fn, label="Psi(%s)" % f.label)
 
 
-def rho_a_star(fA: Cochain, X: Bimodule) -> EndCochain:
-    """Post-compose values with the left action rho_A.
+def left_action_map(X: Bimodule, a_vec: GradedVector, shift: int) -> GradedMap:
+    """Left multiplication by ``a_vec`` on X, of degree ``shift``.
 
-    Left multiplication grows the PBW filtration, so the value is a
-    PartialMap covering the keys whose product stays in the window.
+    Left multiplication grows the PBW filtration, so the map covers only the
+    keys whose product stays in the window.
     """
-    from .exact import PartialMap, WindowOverflow
+    def column(k):
+        col = GradedVector.zero(X.space)
+        for ak, c in a_vec.coeffs.items():
+            col.add_inplace(X.lmul_key(ak, k), c)
+        return col
 
+    return guarded_map(X.space, X.space, shift, column)
+
+
+def rho_a_star(fA: Cochain, X: Bimodule) -> EndCochain:
+    """Post-compose values with the left action rho_A."""
     def fn(word):
-        head = fA.value(word)
         wdeg = sum(fA.algebra.space.degree[k] for k in word)
-        covered = []
-        columns = {}
-        for k in X.space.keys:
-            col = GradedVector.zero(X.space)
-            try:
-                for ak, c in head.coeffs.items():
-                    col.add_inplace(X.lmul_key(ak, k), c)
-            except WindowOverflow:
-                continue
-            covered.append(k)
-            columns[k] = col
-        out = PartialMap(X.space, X.space, fA.r + wdeg, covered)
-        for k, col in columns.items():
-            out.set_column(k, col, check=False)
-        return out
+        return left_action_map(X, fA.value(word), fA.r + wdeg)
 
     return EndCochain(fA.algebra, X, fA.p, fA.r, label="rhoA*(%s)" % fA.label,
                       fn=fn)

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
                              StructuralError, WindowOverflow, bilinear,
-                             cohomology_slice, kernel_basis, random_vector,
-                             rank, rows_nullspace, rows_rank, rows_solve,
-                             solve)
+                             cohomology_slice, guarded_map, kernel_basis,
+                             random_vector, rank, rows_nullspace, rows_rank,
+                             rows_solve, solve)
 from hochduflo.hochschild import dual_odd_algebra, interior_hh
 from hochduflo.liealg import DualOdd, LieAlgebra, OddSym
 from hochduflo.keller import LieTriple
@@ -417,6 +417,33 @@ def test_coverage_propagation(f, g, outer, c):
                 m.column(key)
             with pytest.raises(WindowOverflow):
                 m(GradedVector.basis(m.source, key))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sets(st.sampled_from(COVER_S.keys)),
+       st.none() | st.sets(st.sampled_from(COVER_S.keys)),
+       st.dictionaries(st.sampled_from(COVER_S.keys), st.dictionaries(
+           st.sampled_from(COVER_T.keys), st.integers(-3, 3), max_size=3)))
+def test_guarded_map_covers_the_columns_that_fit(refused, keys, values):
+    """A column that raises WindowOverflow is neither stored nor covered,
+    and reading it raises again; coverage is None only for a full build."""
+    def col_fn(key):
+        if key in refused:
+            raise WindowOverflow("drawn refusal at %r" % (key,))
+        return GradedVector(COVER_T, values.get(key, {}))
+
+    m = guarded_map(COVER_S, COVER_T, 0, col_fn, keys=keys)
+    asked = set(COVER_S.keys) if keys is None else keys
+    assert coverage(m) == asked - refused
+    assert (m.covered is None) == (keys is None and not refused)
+    assert set(m.columns) <= coverage(m)
+    for key in coverage(m):
+        assert m.column(key) == col_fn(key)
+    for key in set(COVER_S.keys) - coverage(m):
+        with pytest.raises(WindowOverflow):
+            m.column(key)
+        with pytest.raises(WindowOverflow):
+            m(GradedVector.basis(m.source, key))
 
 
 def test_solver_membership():

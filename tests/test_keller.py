@@ -14,9 +14,10 @@ from hochduflo.keller import (AbelianActionCone, AugmentationCone, LieTriple,
                               row_exactness_certificate)
 from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, ce_module_sym,
                               cocontract, contract, invariants_basis, pbw_map)
-from hochduflo.hochschild import hoch_d, hoch_partial, ug_algebra
+from hochduflo.hochschild import (hoch_d, hoch_partial, random_cochain,
+                                  ug_algebra)
 from hochduflo.signs import sgn
-from hochduflo.trio import XCochain
+from hochduflo.trio import XCochain, rho_a_star
 from hochduflo.suites import TailValues, suite_vanishing
 from hochduflo.duflo import (DufloContext, duflo_series,
                              lift_central_through_projection, lift_residuals,
@@ -97,6 +98,30 @@ def test_rho_a_is_chain_map_and_section(aff1):
             m = triple.rho_a(GradedVector.basis(triple.ug.space, u))
             got = m(((), ()))
             assert got == GradedVector.basis(triple.x_space, (u, ()))
+
+
+def test_rho_a_star_is_rho_a_valuewise(sl2):
+    """rho_A* post-composes with the same left action as rho_a: equal
+    columns on the covered keys, and the same keys refused."""
+    triple = LieTriple(sl2, 3)
+    f = random_cochain(triple.A, triple.A, 1, 0, 4,
+                       letters=[k for k in triple.ug.space.keys if len(k) <= 1],
+                       value_keys=[k for k in triple.ug.space.keys
+                                   if len(k) <= 2])
+    lifted = rho_a_star(f, triple.X)
+    refusing = 0
+    for a in triple.ug.space.keys:
+        if len(a) > 1:
+            continue
+        got, want = lifted.value((a,)), triple.rho_a(f.value((a,)))
+        assert got.covered == want.covered
+        assert got.columns == want.columns
+        refusing += want.covered is not None
+        for key in triple.x_space.keys:
+            if want.covered is not None and key not in want.covered:
+                with pytest.raises(WindowOverflow):
+                    got.column(key)
+    assert refusing         # the sampled values do leave the window
 
 
 def test_degree_zero_right_linear_classes_match_window(aff1, sl2):
