@@ -226,13 +226,8 @@ class PolyVectors:
         hom = self.hom_space()
         out = GradedMap(self.space, hom, 0)
         for (b, m) in self.space.keys:
-            col = GradedVector.zero(hom)
-            for y in self.odd.space.keys:
-                if len(y) != len(b):
-                    continue
-                c = pair_dual_vec(b, y)
-                if c:
-                    col.add_term((y, m), c)
+            y = tuple(reversed(b))          # the one partner of b
+            col = GradedVector.basis(hom, (y, m), pair_dual_vec(b, y))
             out.set_column((b, m), col, check=False)
         self._phi_t = out
         return out
@@ -275,31 +270,24 @@ def hkr_cochain(tp: PolyVectors, B: DgAlgebra, t_key, coeff=ONE) -> Cochain:
     q = len(mkey)
     r = len(bkey) - q
 
+    base = GradedVector.basis(tp.dual.space, bkey, coeff)
+    scale = Q(1, factorial(q))
+
     def fn(word):
         out = GradedVector.zero(B.space)
-        base = GradedVector.basis(tp.dual.space, bkey, coeff)
-        scale = Q(1, factorial(q))
+        sign = sgn(sum((q - 1 - i) * len(b) for i, b in enumerate(word)))
+        # iota[i][j]: the interior product of mkey[j] on word[i]
+        iota = [[interior_product(tp.dual, tp.odd, (x,),
+                                  GradedVector.basis(tp.dual.space, b))
+                 for x in mkey] for b in word]
         for perm in permutations(range(q)):
-            term = base
-            exponent = 0
-            for i, b in enumerate(word):
-                exponent += (q - 1 - i) * len(b)
-            vals = []
-            ok = True
-            for i in range(q):
-                x = mkey[perm[i]]
-                iv = interior_product(tp.dual, tp.odd, (x,),
-                                      GradedVector.basis(tp.dual.space, word[i]))
-                if not iv:
-                    ok = False
-                    break
-                vals.append(iv)
-            if not ok:
+            vals = [iota[i][perm[i]] for i in range(q)]
+            if not all(vals):
                 continue
-            prod = term
+            prod = base
             for iv in vals:
                 prod = tp.dual.mul(prod, iv)
-            out.add_inplace(prod, scale * sgn(exponent))
+            out.add_inplace(prod, scale * sign)
         return out
 
     return Derived(B, B, q, r, fn, label="hkr%s" % (t_key,))

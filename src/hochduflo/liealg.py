@@ -2,9 +2,10 @@
 
 Provides structure-constant validation, PBW-normalized enveloping algebra
 windows, the odd symmetric algebra S(g[1]) and its dual with the
-reversed-order monomial convention, the four pairings, both contraction
-actions, and Chevalley-Eilenberg differentials for the coefficient modules
-used downstream (trivial, symmetric, enveloping, endomorphism).
+reversed-order monomial convention, one signed letter-removal rule behind
+the pairings, both contractions and the interior product, and
+Chevalley-Eilenberg differentials for the coefficient modules used
+downstream (trivial, symmetric, enveloping, endomorphism).
 
 Degree conventions: g sits in degree 0, g[1] in degree -1, (g[1])^ in
 degree +1.  Basis keys are index tuples: weakly increasing for enveloping
@@ -18,12 +19,11 @@ import json
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
+from .exact import (Q, ZERO, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, as_q, bilinear,
                     kernel_basis, key_memo, rows_rank)
 from .series import PolyTrunc
-from .signs import sgn, koszul_sign, sort_monomial, unshuffles, unshuffle_sign, \
-    tensor_interleave_sign
+from .signs import sgn, sort_monomial, unshuffles, unshuffle_sign
 
 
 class LieAlgebra:
@@ -380,149 +380,91 @@ class DualOdd:
             for y in odd.space.keys:
                 if len(y) != r + 1:
                     continue
-                val = -(sgn(r)) * pair_dual_sym(self, b, odd, y, apply_del=odd)
-                if val:
-                    col.add_term(self.dual_key_of(y), val)
+                val = odd.coderivation_bracket_key(y).coeff(b[::-1])
+                col.add_term(self.dual_key_of(y), -(sgn(r)) * val)
             m.set_column(b, col)
         self._d_g = m
         return m
 
 
 # ---------------------------------------------------------------------------
-# pairings (Notations conventions)
+# S(g[1]) against its dual: pairings and contractions
 # ---------------------------------------------------------------------------
 
-def _tensor_pair(first, second, first_degrees, second_degrees, base):
-    """Tensor pairing with the interleaving sign; 0 on length mismatch."""
-    if len(first) != len(second):
-        return ZERO
-    val = ONE
-    for a, b in zip(first, second):
-        f = base(a, b)
-        if not f:
-            return ZERO
-        val *= f
-    return val * tensor_interleave_sign(first_degrees, second_degrees)
+def _strip(key, letters, unit):
+    """Remove ``letters`` from the monomial ``key`` one at a time, in order.
+
+    A removal at 0-based slot i of an n-letter word contributes
+    ``unit * (-1)^{n-1-i}``; ``unit`` is +1 for <eps^i, e_i> and -1 for
+    <e_i, eps^i>.  Returns ``(rest, sign)``, or None when a letter is missing.
+    """
+    rest = tuple(key)
+    sign = 1
+    for x in letters:
+        if x not in rest:
+            return None
+        i = rest.index(x)
+        sign *= unit * sgn(len(rest) - 1 - i)
+        rest = rest[:i] + rest[i + 1:]
+    return rest, sign
 
 
-def _sym_pair(first, second, first_degrees, second_degrees, base):
-    """Symmetric pairing: sum over permutations of the second argument."""
-    if len(first) != len(second):
+def _pair(key, letters, unit) -> int:
+    """The full pairing: every letter meets its partner exactly once."""
+    if len(key) != len(letters) or len(set(key)) != len(key):
         return ZERO
-    n = len(first)
-    total = ZERO
-    for perm in permutations(range(n)):
-        eps = koszul_sign(second_degrees, perm)
-        permuted = [second[i] for i in perm]
-        pdegs = [second_degrees[i] for i in perm]
-        term = _tensor_pair(first, permuted, first_degrees, pdegs, base)
-        if term:
-            total += eps * term
-    return total
+    stripped = _strip(key, letters, unit)
+    return ZERO if stripped is None else stripped[1]
+
+
+def _strip_terms(space, v: GradedVector, letters, unit) -> GradedVector:
+    """``_strip`` on every monomial of ``v``, in the key order of ``v``."""
+    out = GradedVector.zero(space)
+    for key, c in v.coeffs.items():
+        stripped = _strip(key, letters, unit)
+        if stripped is not None:
+            out.add_term(stripped[0], c * stripped[1])
+    return out
 
 
 def pair_vec_dual(odd_key, dual_key) -> Fraction:
     """<x, xi> on S(g[1]) x S(g[1])^ monomials (vector argument first)."""
-    first = tuple(odd_key)
-    second = tuple(dual_key)
-    base = lambda i, j: -ONE if i == j else ZERO      # <e_i, eps^j> = -delta
-    return _sym_pair(first, second, [-1] * len(first), [1] * len(second), base)
+    return _pair(odd_key, dual_key, -1)                # <e_i, eps^i> = -1
 
 
 def pair_dual_vec(dual_key, odd_key) -> Fraction:
     """<xi, x> on S(g[1])^ x S(g[1]) monomials (dual argument first)."""
-    first = tuple(dual_key)
-    second = tuple(odd_key)
-    base = lambda i, j: ONE if i == j else ZERO       # <eps^i, e_j> = delta
-    return _sym_pair(first, second, [1] * len(first), [-1] * len(second), base)
-
-
-def pair_dual_sym(dual: DualOdd, dual_key, odd: OddSym, odd_key,
-                  apply_del=None) -> Fraction:
-    """<b, y> or, with ``apply_del``, <b, del_g y> expanded exactly."""
-    if apply_del is None:
-        return pair_dual_vec(dual_key, odd_key)
-    total = ZERO
-    for ykey, c in apply_del.coderivation_bracket_key(odd_key).items():
-        total += c * pair_dual_vec(dual_key, ykey)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# contraction actions
-# ---------------------------------------------------------------------------
-
-def contract_step(odd: OddSym, s_key, xi: int) -> GradedVector:
-    """(x_1 ... x_n) |_ eps^xi = sum_i (-1)^{n-i} <x_i, eps^xi> x^{i}."""
-    s_key = tuple(s_key)
-    n = len(s_key)
-    out = GradedVector.zero(odd.space)
-    for i in range(n):
-        if s_key[i] == xi:
-            # <e_i, eps^i> = -1
-            out.add_term(s_key[:i] + s_key[i + 1:], -(sgn(n - (i + 1))))
-    return out
+    return _pair(odd_key, dual_key, 1)                 # <eps^i, e_i> = 1
 
 
 def contract(odd: OddSym, v: GradedVector, dual_key) -> GradedVector:
     """Right action of a dual monomial on S(g[1]) by iterated contraction.
 
     The module axiom x |_ (xi . eta) = (x |_ xi) |_ eta is applied along the
-    stored (decreasing) factor order of the dual key.
+    stored (decreasing) factor order of the dual key; each factor removes
+    its letter at slot i of n with sign (-1)^{n-i} <x_i, eps^xi>.
     """
-    out = v
-    for xi in tuple(dual_key):
-        nxt = GradedVector.zero(odd.space)
-        for key, c in out.coeffs.items():
-            nxt.add_inplace(contract_step(odd, key, xi), c)
-        out = nxt
-    return out
-
-
-def cocontract_step(dual: DualOdd, b_key, x: int) -> GradedVector:
-    """(xi_1 ... xi_n) _| e_x = sum_i (-1)^{n-i} <xi_i, e_x> xi^{i}."""
-    b_key = tuple(b_key)
-    n = len(b_key)
-    out = GradedVector.zero(dual.space)
-    for i in range(n):
-        if b_key[i] == x:
-            out.add_term(b_key[:i] + b_key[i + 1:], sgn(n - (i + 1)))
-    return out
+    return _strip_terms(odd.space, v, dual_key, -1)
 
 
 def cocontract(dual: DualOdd, v: GradedVector, s_key) -> GradedVector:
     """Right action of an S(g[1]) monomial on the dual, factorwise."""
-    out = v
-    for x in tuple(s_key):
-        nxt = GradedVector.zero(dual.space)
-        for key, c in out.coeffs.items():
-            nxt.add_inplace(cocontract_step(dual, key, x), c)
-        out = nxt
-    return out
+    return _strip_terms(dual.space, v, s_key, 1)
 
 
 def interior_product(dual: DualOdd, odd: OddSym, s_key, f: GradedVector) -> GradedVector:
     """iota_x(f) = (-1)^{|x||f|} f(x . -) for f in S(g[1])^, x an S-monomial.
 
-    Characterized by <iota_x f, y> = (-1)^{|x||f|} <f, x . y>; computed
-    columnwise against the monomial basis.
+    Characterized by <iota_x f, y> = (-1)^{|x||f|} <f, x . y>: each
+    monomial of f loses the letters of x, and what remains is the dual
+    partner of y.
     """
     k = len(tuple(s_key))
     out = GradedVector.zero(dual.space)
     for fkey, c in f.coeffs.items():
-        n = len(fkey)
-        if n < k:
-            continue
-        sign = sgn((-k) * n)
-        for ykeys in combinations(sorted(set(range(dual.g.dimension))), n - k):
-            prod = odd.mul_keys(tuple(s_key), ykeys)
-            if not prod:
-                continue
-            val = ZERO
-            for pkey, pc in prod.items():
-                val += pc * pair_dual_vec(fkey, pkey)
-            if val:
-                out.add_term(dual.dual_key_of(ykeys), sign * c * val)
+        stripped = _strip(fkey, s_key, 1)
+        if stripped is not None:
+            out.add_term(stripped[0], sgn(k * len(fkey)) * c * stripped[1])
     return out
 
 

@@ -1,9 +1,9 @@
 """Koszul signs, permutation parities and monomial normal forms.
 
 Every sign in the package funnels through this module: unshuffle signs for
-symmetric coproducts, the interleaving sign of the tensor pairing, and the
-signs absorbed when a graded monomial is brought to normal form.  Keeping a
-single normalization point prevents sign drift between subsystems.
+symmetric coproducts and the signs absorbed when a graded monomial is
+brought to normal form.  Keeping a single normalization point prevents sign
+drift between subsystems.
 """
 
 from __future__ import annotations
@@ -86,21 +86,6 @@ def unshuffles(n: int, k: int):
 def unshuffle_sign(degrees, left, right) -> int:
     """Koszul sign of splitting a word into the (left, right) unshuffle."""
     return koszul_sign(degrees, tuple(left) + tuple(right))
-
-
-def tensor_interleave_sign(first_degrees, second_degrees) -> int:
-    """Sign ``(-1)^{sum_{i<j} |second_i| |first_j|}`` of the tensor pairing.
-
-    This is the exponent appearing when the interleaved word
-    ``first_1 second_1 first_2 second_2 ...`` is reordered from
-    ``first_1 ... first_p second_1 ... second_p``.
-    """
-    exponent = 0
-    p = len(first_degrees)
-    for i in range(p):
-        for j in range(i + 1, p):
-            exponent += second_degrees[i] * first_degrees[j]
-    return -1 if exponent % 2 else 1
 
 
 def sgn(exponent: int) -> int:

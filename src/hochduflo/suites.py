@@ -26,9 +26,9 @@ from .hochschild import (BimoduleOps, cup, dual_odd_algebra, gerstenhaber,
                          total_differential, unit_cochain, ug_algebra,
                          words_of)
 from .trio import (ALinearEnds, BLinearEnds, EndCochain, TrioCochain, d_ax,
-                   d_left, d_right, del_x, embed_trio, phi_embed, project_b,
-                   psi_embed, random_x_cochain, rho_a_star, semidirect_algebra,
-                   trio_differential)
+                   d_left, d_right, del_x, embed_trio, phi_embed, project_a,
+                   project_b, psi_embed, random_x_cochain, rho_a_star,
+                   semidirect_algebra, trio_differential)
 from .keller import (AbelianActionCone, AugmentationCone, LieTriple,
                      ModuleCochain, frak_h_vanishing_index,
                      kernel_dimension_match, row_exactness_certificate)
@@ -348,7 +348,10 @@ def suite_trio(g: LieAlgebra, trials=50, seed=0, pbw=4):
             rnd = random.Random(derive_seed("pcin", seed, t))
             (pa, ra) = next(iter(trio.fA))
             (qb, rb) = next(iter(trio.fB))
-            F = embed_trio(trio, E, pa, ra)
+            # pi_A o d == dH^A o pi_A evaluated on A-words
+            dA_h = hoch_d(project_a(embed_trio(trio, E, pa, ra), triple.A, E),
+                          a_ops)
+            piDA = project_a(embed_trio(d_trio, E, pa + 1, ra), triple.A, E)
             # pi_B o d == (dH^B + del_B) o pi_B evaluated on B-words
             FB = embed_trio(trio, E, qb, rb)
             piB = project_b(FB, triple.B, E)
@@ -360,6 +363,10 @@ def suite_trio(g: LieAlgebra, trials=50, seed=0, pbw=4):
                           for _ in range(qb + 1))
                 if dB_h.value(w) != piDB.value(w):
                     return False, ("piB", t, w), None
+            for _ in range(5):
+                w = tuple(rnd.choice(a_letters) for _ in range(pa + 1))
+                if dA_h.value(w) != piDA.value(w):
+                    return False, ("piA", t, w), None
         return True, None, None
 
     def check_inclusion_counterexample():
@@ -922,6 +929,7 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
     J, Js = D.duflo_series(g, series_order)
     semisimple = g.is_semisimple()
 
+    @functools.cache
     def get_quadratic():
         inv = invariants_basis(g, ce_module_sym(ctx.sym), 0)
         quad = [v for v in inv
@@ -980,6 +988,16 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
         return (here, total_differential(ctx.B, ctx.b_ops, below, here),
                 total_differential(ctx.B, ctx.b_ops, here, above))
 
+    @functools.cache
+    def corrected_image():
+        """The corrected invariant t' = J^(1/2) . P and the hkr parts of
+        the polyvector (1, t')."""
+        tprime = D.series_contraction(ctx.sym, Js, get_quadratic())
+        t_vec = GradedVector.zero(ctx.tp.space)
+        for mk, c in tprime.coeffs.items():
+            t_vec.add_term(((), mk), c)
+        return tprime, D.hkr(ctx.tp, ctx.B, t_vec)
+
     def class_match(parts1, parts2):
         here, d_in, d_out = b_complex()
 
@@ -1006,12 +1024,8 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
         P = get_quadratic()
         if P is None:
             return True, None, {"note": "vacuous"}
-        tprime = D.series_contraction(ctx.sym, Js, P)
+        tprime, hkr_parts = corrected_image()
         u0 = pbw_map(ctx.sym, ctx.ug, tprime)
-        t_vec = GradedVector.zero(ctx.tp.space)
-        for mk, c in tprime.coeffs.items():
-            t_vec.add_term(((), mk), c)
-        hkr_parts = D.hkr(ctx.tp, ctx.B, t_vec)
         comps, fB = D.lift_central_through_projection(ctx, u0,
                                                       depth=lift_depth)
         x_keys = [k for k in ctx.X.space.keys
@@ -1030,11 +1044,7 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
         P = get_quadratic()
         if P is None or not semisimple:
             return True, None, {"note": "control ran on the semisimple case"}
-        tprime = D.series_contraction(ctx.sym, Js, P)
-        t_vec = GradedVector.zero(ctx.tp.space)
-        for mk, c in tprime.coeffs.items():
-            t_vec.add_term(((), mk), c)
-        hkr_parts = D.hkr(ctx.tp, ctx.B, t_vec)
+        _, hkr_parts = corrected_image()
         u0p = pbw_map(ctx.sym, ctx.ug, P)
         comps, fBp = D.lift_central_through_projection(ctx, u0p,
                                                        depth=lift_depth)

@@ -9,17 +9,23 @@ PBW normal ordering by a different rewriting strategy.  The X-part
 differentials of the trio complex are kept as the package wrote them before
 it read the X-part words flat: one slot evaluator and one loop per kind of
 letter.  The Duflo lift is kept as it swept every dual word, and slice
-cohomology as it re-eliminated once per kernel vector.
+cohomology as it re-eliminated once per kernel vector.  The pairings,
+contractions, interior product, dual differential and HKR evaluator are
+kept as they were before one signed letter-removal rule computed them:
+permutation sums, one contraction step per letter, a subset enumeration
+and one interior product per ordering.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import factorial
 
 from hochduflo.duflo import DufloContext, LinearXCochain, null_homotopy
-from hochduflo.exact import (GradedMap, GradedVector, StructuralError,
-                             kernel_basis, rows_rank)
+from hochduflo.exact import (ONE, ZERO, GradedMap, GradedVector,
+                             StructuralError, kernel_basis, rows_rank)
 from hochduflo.hochschild import words_of
-from hochduflo.signs import sgn
+from hochduflo.liealg import DualOdd, OddSym
+from hochduflo.signs import koszul_sign, sgn
 from hochduflo.trio import XDerived, d_ax, d_right, d_xb, del_x
 
 Q = Fraction
@@ -564,3 +570,201 @@ def full_sweep_lift(ctx: DufloContext, u0: GradedVector,
     components = {qq: c for qq, c in components.items()
                   if any(s.gen for s in c.columns.values())}
     return components, fB
+
+
+# -- S(g[1]) against its dual as the package computed it before one ---------
+# -- letter-removal rule: permutation sums, stepwise contractions, a ---------
+# -- subset enumeration and a per-permutation HKR evaluator ------------------
+
+def tensor_interleave_sign(first_degrees, second_degrees) -> int:
+    """Sign ``(-1)^{sum_{i<j} |second_i| |first_j|}`` of the tensor pairing.
+
+    This is the exponent appearing when the interleaved word
+    ``first_1 second_1 first_2 second_2 ...`` is reordered from
+    ``first_1 ... first_p second_1 ... second_p``.
+    """
+    exponent = 0
+    p = len(first_degrees)
+    for i in range(p):
+        for j in range(i + 1, p):
+            exponent += second_degrees[i] * first_degrees[j]
+    return -1 if exponent % 2 else 1
+
+
+def _tensor_pair(first, second, first_degrees, second_degrees, base):
+    """Tensor pairing with the interleaving sign; 0 on length mismatch."""
+    if len(first) != len(second):
+        return ZERO
+    val = ONE
+    for a, b in zip(first, second):
+        f = base(a, b)
+        if not f:
+            return ZERO
+        val *= f
+    return val * tensor_interleave_sign(first_degrees, second_degrees)
+
+
+def _sym_pair(first, second, first_degrees, second_degrees, base):
+    """Symmetric pairing: sum over permutations of the second argument."""
+    if len(first) != len(second):
+        return ZERO
+    n = len(first)
+    total = ZERO
+    for perm in permutations(range(n)):
+        eps = koszul_sign(second_degrees, perm)
+        permuted = [second[i] for i in perm]
+        pdegs = [second_degrees[i] for i in perm]
+        term = _tensor_pair(first, permuted, first_degrees, pdegs, base)
+        if term:
+            total += eps * term
+    return total
+
+
+def old_pair_vec_dual(odd_key, dual_key) -> Fraction:
+    """<x, xi> on S(g[1]) x S(g[1])^ monomials (vector argument first)."""
+    first = tuple(odd_key)
+    second = tuple(dual_key)
+    base = lambda i, j: -ONE if i == j else ZERO      # <e_i, eps^j> = -delta
+    return _sym_pair(first, second, [-1] * len(first), [1] * len(second), base)
+
+
+def old_pair_dual_vec(dual_key, odd_key) -> Fraction:
+    """<xi, x> on S(g[1])^ x S(g[1]) monomials (dual argument first)."""
+    first = tuple(dual_key)
+    second = tuple(odd_key)
+    base = lambda i, j: ONE if i == j else ZERO       # <eps^i, e_j> = delta
+    return _sym_pair(first, second, [1] * len(first), [-1] * len(second), base)
+
+
+def pair_dual_sym(dual: DualOdd, dual_key, odd: OddSym, odd_key,
+                  apply_del=None) -> Fraction:
+    """<b, y> or, with ``apply_del``, <b, del_g y> expanded exactly."""
+    if apply_del is None:
+        return old_pair_dual_vec(dual_key, odd_key)
+    total = ZERO
+    for ykey, c in apply_del.coderivation_bracket_key(odd_key).items():
+        total += c * old_pair_dual_vec(dual_key, ykey)
+    return total
+
+
+def old_dual_differential(dual: DualOdd, odd: OddSym) -> GradedMap:
+    """Chevalley-Eilenberg differential: d(f) = -(-1)^{|f|} f o del_g."""
+    m = GradedMap(dual.space, dual.space, 1)
+    for b in dual.space.keys:
+        col = GradedVector.zero(dual.space)
+        r = len(b)
+        for y in odd.space.keys:
+            if len(y) != r + 1:
+                continue
+            val = -(sgn(r)) * pair_dual_sym(dual, b, odd, y, apply_del=odd)
+            if val:
+                col.add_term(dual.dual_key_of(y), val)
+        m.set_column(b, col)
+    return m
+
+
+def contract_step(odd: OddSym, s_key, xi: int) -> GradedVector:
+    """(x_1 ... x_n) |_ eps^xi = sum_i (-1)^{n-i} <x_i, eps^xi> x^{i}."""
+    s_key = tuple(s_key)
+    n = len(s_key)
+    out = GradedVector.zero(odd.space)
+    for i in range(n):
+        if s_key[i] == xi:
+            # <e_i, eps^i> = -1
+            out.add_term(s_key[:i] + s_key[i + 1:], -(sgn(n - (i + 1))))
+    return out
+
+
+def old_contract(odd: OddSym, v: GradedVector, dual_key) -> GradedVector:
+    """Right action of a dual monomial on S(g[1]) by iterated contraction.
+
+    The module axiom x |_ (xi . eta) = (x |_ xi) |_ eta is applied along the
+    stored (decreasing) factor order of the dual key.
+    """
+    out = v
+    for xi in tuple(dual_key):
+        nxt = GradedVector.zero(odd.space)
+        for key, c in out.coeffs.items():
+            nxt.add_inplace(contract_step(odd, key, xi), c)
+        out = nxt
+    return out
+
+
+def cocontract_step(dual: DualOdd, b_key, x: int) -> GradedVector:
+    """(xi_1 ... xi_n) _| e_x = sum_i (-1)^{n-i} <xi_i, e_x> xi^{i}."""
+    b_key = tuple(b_key)
+    n = len(b_key)
+    out = GradedVector.zero(dual.space)
+    for i in range(n):
+        if b_key[i] == x:
+            out.add_term(b_key[:i] + b_key[i + 1:], sgn(n - (i + 1)))
+    return out
+
+
+def old_cocontract(dual: DualOdd, v: GradedVector, s_key) -> GradedVector:
+    """Right action of an S(g[1]) monomial on the dual, factorwise."""
+    out = v
+    for x in tuple(s_key):
+        nxt = GradedVector.zero(dual.space)
+        for key, c in out.coeffs.items():
+            nxt.add_inplace(cocontract_step(dual, key, x), c)
+        out = nxt
+    return out
+
+
+def old_interior_product(dual: DualOdd, odd: OddSym, s_key,
+                         f: GradedVector) -> GradedVector:
+    """iota_x(f) = (-1)^{|x||f|} f(x . -) for f in S(g[1])^, x an S-monomial.
+
+    Characterized by <iota_x f, y> = (-1)^{|x||f|} <f, x . y>; computed
+    columnwise against the monomial basis.
+    """
+    k = len(tuple(s_key))
+    out = GradedVector.zero(dual.space)
+    for fkey, c in f.coeffs.items():
+        n = len(fkey)
+        if n < k:
+            continue
+        sign = sgn((-k) * n)
+        for ykeys in combinations(sorted(set(range(dual.g.dimension))), n - k):
+            prod = odd.mul_keys(tuple(s_key), ykeys)
+            if not prod:
+                continue
+            val = ZERO
+            for pkey, pc in prod.items():
+                val += pc * old_pair_dual_vec(fkey, pkey)
+            if val:
+                out.add_term(dual.dual_key_of(ykeys), sign * c * val)
+    return out
+
+
+def old_hkr_value(tp, B, t_key, word, coeff=ONE) -> GradedVector:
+    """The value on ``word`` of the antisymmetrized cochain of one
+    polyvector key, with every interior product taken once per ordering."""
+    (bkey, mkey) = t_key
+    q = len(mkey)
+    out = GradedVector.zero(B.space)
+    base = GradedVector.basis(tp.dual.space, bkey, coeff)
+    scale = Q(1, factorial(q))
+    for perm in permutations(range(q)):
+        term = base
+        exponent = 0
+        for i, b in enumerate(word):
+            exponent += (q - 1 - i) * len(b)
+        vals = []
+        ok = True
+        for i in range(q):
+            x = mkey[perm[i]]
+            iv = old_interior_product(tp.dual, tp.odd, (x,),
+                                      GradedVector.basis(tp.dual.space, word[i]))
+            if not iv:
+                ok = False
+                break
+            vals.append(iv)
+        if not ok:
+            continue
+        prod = term
+        for iv in vals:
+            prod = tp.dual.mul(prod, iv)
+        out.add_inplace(prod, scale * sgn(exponent))
+    return out

@@ -22,7 +22,7 @@ from hochduflo.duflo import (DufloContext, LinearValue, LinearXCochain,
 from hochduflo.suites import suite_duflo_maps, suite_homotopy_identity
 from hochduflo.trio import d_right, d_xb, del_x
 
-from oracles import duflo_log_oracle, full_sweep_lift
+from oracles import duflo_log_oracle, full_sweep_lift, old_hkr_value
 
 
 def test_log_coefficients_against_ode_oracle():
@@ -99,6 +99,34 @@ def test_hkr_values(aff1):
         want = interior_product(tp.dual, tp.odd, (0,),
                                 GradedVector.basis(tp.dual.space, b))
         assert got == GradedVector(B.space, want.coeffs)
+
+
+def test_hkr_matches_the_per_ordering_evaluator(sl2, monkeypatch):
+    """One interior-product table per word gives the values of one
+    interior product per ordering: every sl2 polyvector key with q <= 3,
+    on every word of arity q.  The oracle's interior products are
+    remembered per (letter, word letter), which it only reads."""
+    import oracles
+    from hochduflo.hochschild import dual_odd_algebra
+    from hochduflo.liealg import OddSym, DualOdd
+    memo = {}
+    stepwise = oracles.old_interior_product
+
+    def remembered(dual, odd, s_key, f):
+        key = (tuple(s_key), tuple(f.items()))
+        if key not in memo:
+            memo[key] = stepwise(dual, odd, s_key, f)
+        return memo[key]
+
+    monkeypatch.setattr(oracles, "old_interior_product", remembered)
+    tp = PolyVectors(sl2, 3)
+    B = dual_odd_algebra(DualOdd(sl2), OddSym(sl2))
+    for t_key in tp.space.keys:
+        q = len(t_key[1])
+        cochain = hkr_cochain(tp, B, t_key, Q(3, 2))
+        for word in words_of(B.space.keys, q):
+            want = old_hkr_value(tp, B, t_key, word, Q(3, 2))
+            assert cochain.value(word) == GradedVector(B.space, want.coeffs)
 
 
 def test_hkr_values_live_in_the_cochain_module(aff1):

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -11,10 +12,13 @@ from hochduflo.exact import (GradedMap, GradedVector, WindowOverflow,
 from hochduflo.liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
                               adjoint_action_ug, ce_differential,
                               ce_module_sym, ce_module_trivial, ce_module_ug,
-                              contract, invariants_basis, pair_dual_vec,
+                              cocontract, contract, interior_product,
+                              invariants_basis, pair_dual_vec,
                               pair_vec_dual, pbw_map)
 
-from oracles import pbw_normal_oracle, sym_pair_oracle
+from oracles import (old_cocontract, old_contract, old_dual_differential,
+                     old_interior_product, old_pair_dual_vec,
+                     old_pair_vec_dual, pbw_normal_oracle, sym_pair_oracle)
 
 
 def test_validate_examples(sl2, abelian2):
@@ -70,15 +74,67 @@ def test_pairings(aff1):
     assert pair_dual_vec((0,), (0,)) == 1           # <eps1, e1> = 1
     assert pair_vec_dual((0,), (0,)) == -1          # <e1, eps1> = -1
     assert pair_vec_dual((0, 1), (0, 1)) == -1      # frozen two-factor value
-    # exhaustive permutation oracle over all subset pairs, d = 3
-    from itertools import combinations
-    for n in range(0, 4):
-        for xs in combinations(range(3), n):
-            for ds in combinations(range(3), n):
-                want = sym_pair_oracle(
-                    xs, tuple(reversed(ds)), [-1] * n, [1] * n,
-                    lambda i, j: Q(-1) if i == j else Q(0))
-                assert pair_vec_dual(xs, tuple(reversed(ds))) == want
+    # exhaustive permutation oracles over all letter tuples up to length 3
+    # over 4 letters, unsorted and repeated letters included
+    words = [w for n in range(4) for w in product(range(4), repeat=n)]
+    vec_base = lambda i, j: Q(-1) if i == j else Q(0)
+    dual_base = lambda i, j: Q(1) if i == j else Q(0)
+    for xs in words:
+        for ds in words:
+            n, m = len(xs), len(ds)
+            want = sym_pair_oracle(xs, ds, [-1] * n, [1] * m, vec_base)
+            assert pair_vec_dual(xs, ds) == old_pair_vec_dual(xs, ds) == want
+            want = sym_pair_oracle(ds, xs, [1] * m, [-1] * n, dual_base)
+            assert pair_dual_vec(ds, xs) == old_pair_dual_vec(ds, xs) == want
+
+
+def test_letter_removal_matches_the_stepwise_oracles():
+    """contract, cocontract and interior_product against the stepwise
+    contractions and the subset enumeration: same coefficients, same key
+    order, on every basis pair of abelian d = 1..5 and on the sum of all
+    basis vectors with distinct coefficients; interior_product also on
+    every letter tuple up to length 3, unsorted and repeated."""
+    def same(got, want):
+        assert list(got.items()) == list(want.items())
+
+    for d in range(1, 6):
+        g = LieAlgebra.abelian(d)
+        odd, dual = OddSym(g), DualOdd(g)
+        odd_all = GradedVector(odd.space, {k: i + 1 for i, k in
+                                           enumerate(odd.space.keys)})
+        dual_all = GradedVector(dual.space, {k: i + 1 for i, k in
+                                             enumerate(dual.space.keys)})
+        for x_key in odd.space.keys:
+            x = GradedVector.basis(odd.space, x_key)
+            for b_key in dual.space.keys:
+                f = GradedVector.basis(dual.space, b_key)
+                same(contract(odd, x, b_key), old_contract(odd, x, b_key))
+                same(cocontract(dual, f, x_key),
+                     old_cocontract(dual, f, x_key))
+        for b_key in dual.space.keys:
+            same(contract(odd, odd_all, b_key),
+                 old_contract(odd, odd_all, b_key))
+        fs = [GradedVector.basis(dual.space, k) for k in dual.space.keys]
+        for x_key in odd.space.keys:
+            same(cocontract(dual, dual_all, x_key),
+                 old_cocontract(dual, dual_all, x_key))
+        letters = [w for n in range(4) for w in product(range(d), repeat=n)]
+        for s_key in letters + [k for k in odd.space.keys if len(k) > 3]:
+            for f in fs + [dual_all]:
+                same(interior_product(dual, odd, s_key, f),
+                     old_interior_product(dual, odd, s_key, f))
+
+
+def test_dual_differential_matches_the_pairing_oracle(aff1, sl2, heis3):
+    """Column b of d_g reads the coefficient of b's partner in the bracket
+    coderivation; the old pairing loop over every odd monomial agrees,
+    column for column and key for key."""
+    for g in (aff1, sl2, LieAlgebra.so3(), heis3):
+        odd, dual = OddSym(g), DualOdd(g)
+        got, want = dual.differential(odd), old_dual_differential(dual, odd)
+        for b in dual.space.keys:
+            assert list(got.column(b).items()) == \
+                list(want.column(b).items())
 
 
 def test_dual_basis_normalization(sl2):

@@ -6,8 +6,7 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from hochduflo.signs import (koszul_sign, perm_parity, sgn, sort_monomial,
-                             tensor_interleave_sign, unshuffle_sign,
-                             unshuffles)
+                             unshuffle_sign, unshuffles)
 
 from oracles import koszul_sign_oracle, perm_sign_oracle, unshuffles_oracle
 
@@ -117,10 +116,3 @@ def test_unshuffle_sign_is_koszul_of_concatenation():
 def test_sgn_safe_for_negative_exponents():
     assert sgn(-3) == -1 and sgn(-4) == 1 and sgn(0) == 1
     assert isinstance(sgn(-2), int)
-
-
-def test_tensor_interleave_sign():
-    # one odd pair contributes one sign
-    assert tensor_interleave_sign([1], [1]) == 1
-    assert tensor_interleave_sign([1, 1], [1, 1]) == -1
-    assert tensor_interleave_sign([-1, -1], [1, 1]) == -1

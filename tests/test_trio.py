@@ -75,6 +75,27 @@ def test_trio_suite(aff1):
     assert report.ok, [(c.name, c.witness) for c in report.checks if not c.ok]
 
 
+def test_projection_check_reads_pi_a(aff1, monkeypatch):
+    """A trio differential with a doubled A-part breaks
+    pi_A o d = dH^A o pi_A and leaves pi_B alone, so the projection check
+    fails with a pi_A witness."""
+    from hochduflo import suites
+    from hochduflo.hochschild import add_cochain
+    plain = suites.trio_differential
+
+    def doubled(t, A, X, B, a_ops, b_ops):
+        out = plain(t, A, X, B, a_ops, b_ops)
+        for key, f in list(out.fA.items()):
+            add_cochain(out.fA, key, f)
+        return out
+
+    monkeypatch.setattr(suites, "trio_differential", doubled)
+    report = suite_trio(aff1, trials=4, seed=0, pbw=4)
+    check = next(c for c in report.checks
+                 if c.name == "projections-are-chain-maps")
+    assert not check.ok and check.witness[0] == "piA", check.witness
+
+
 def test_projection_sections(aff1):
     triple = LieTriple(aff1, 4)
     E = semidirect_algebra(triple.A, triple.X, triple.B)

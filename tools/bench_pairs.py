@@ -9,8 +9,8 @@ Usage (from the root of a checkout)::
 With ``--tier1``, the Tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors --durations=0`` with ``src`` on the path)
 first runs once in each checkout, parent first; its wall time, exit
-status, summary line and the call durations of the AC3, AC4, AC8 and AC9
-acceptance tests go to ``tier1``.
+status, summary line and the call durations of the AC2, AC3, AC4, AC8 and
+AC9 acceptance tests go to ``tier1``.
 
 For each workload and seed, one pair runs ``perfbench/run.py --workload W
 --seed S --seconds T --trace 0`` once in each checkout, one after the
@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 
 # the acceptance tests whose durations ``--tier1`` records
-AC_TESTS = ("test_ac3_", "test_ac4_", "test_ac8_", "test_ac9_")
+AC_TESTS = ("test_ac2_", "test_ac3_", "test_ac4_", "test_ac8_", "test_ac9_")
 DURATION = re.compile(r"^([0-9.]+)s call\s+\S+::(\w+)$")
 
 
