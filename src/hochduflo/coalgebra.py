@@ -1,16 +1,20 @@
 """Graded coalgebras on finite windows: symmetric and tensor flavours.
 
-Covers the coalgebra toolbox: coproducts with Koszul-signed unshuffles,
-coderivations lifted from their cogenerator components, convolution dg
-algebras, twisting cochains and twisted tensor products, comodules with free
-cogenerators, and the degree-shifting (decalage) identification between
+Covers the coalgebra toolbox: one symmetric-algebra window,
+``SymCoalgebra`` (S(g[1]) and S(g) in ``liealg`` are its windows), with its
+Koszul-signed unshuffle coproduct and the coderivations lifted from their
+cogenerator components; the tensor window with deconcatenation; convolution
+dg algebras, twisting cochains and twisted tensor products, comodules with
+free cogenerators, and the degree-shifting (decalage) identification between
 multilinear maps on an algebra and on its shift.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .exact import (ZERO, ONE, BasisSpace, GradedMap, GradedVector,
-                    StructuralError)
+                    StructuralError, WindowOverflow, bilinear)
 from .signs import sort_monomial, unshuffles, unshuffle_sign
 
 
@@ -34,101 +38,109 @@ def pair_space(left: BasisSpace, right: BasisSpace, name=None) -> BasisSpace:
     return BasisSpace(name or "%s(x)%s" % (left.name, right.name), items)
 
 
+def monomials(generators, cap):
+    """Monomial keys of length <= ``cap`` over ``generators`` (id -> degree).
+
+    Keys are id tuples sorted ascending, in which an odd generator appears at
+    most once; they come by length, then lexicographically.
+    """
+    gens = sorted(dict(generators).items())
+    keys, frontier = [()], [()]
+    for _ in range(cap):
+        frontier = [w + (g,) for w in frontier for g, deg in gens
+                    if not w or g > w[-1] or (g == w[-1] and not deg % 2)]
+        keys.extend(frontier)
+    return keys
+
+
 class SymCoalgebra:
     """S(V) on a finite window, for V with a finite homogeneous basis.
 
     Generators are (id, degree) pairs; monomial keys are id tuples sorted
     ascending, odd generators square to zero, and words are truncated at
-    ``length_cap``.  The coproduct is the Koszul-signed unshuffle sum.
+    ``length_cap``.  The coproduct is the Koszul-signed unshuffle sum.  This
+    is the one symmetric-algebra window: ``liealg.OddSym`` (S(g[1])) and
+    ``liealg.SymPoly`` (S(g)) are subclasses.
     """
 
     def __init__(self, generators, length_cap: int, name="SV"):
         self.generators = dict(generators)
         self.length_cap = length_cap
         self.name = name
-        items = [((), 0)]
-        frontier = [()]
-        for _ in range(length_cap):
-            new = []
-            for word in frontier:
-                for gid, gdeg in sorted(self.generators.items()):
-                    if word and gid < word[-1]:
-                        continue
-                    if gdeg % 2 and gid in word:
-                        continue
-                    new.append(word + (gid,))
-            seen = set()
-            uniq = []
-            for w in new:
-                if w not in seen:
-                    seen.add(w)
-                    uniq.append(w)
-            items.extend((w, sum(self.generators[g] for g in w)) for w in uniq)
-            frontier = uniq
-        self.space = BasisSpace(name, items)
-        self.square = tensor_square_space(self.space)
+        self.space = BasisSpace(name, (
+            (w, sum(self.generators[g] for g in w))
+            for w in monomials(self.generators, length_cap)))
+
+    @functools.cached_property
+    def square(self) -> BasisSpace:
+        return tensor_square_space(self.space)
 
     def counit_coeff(self, key):
         return ONE if len(key) == 0 else ZERO
 
+    def unit(self) -> GradedVector:
+        return GradedVector.basis(self.space, ())
+
     def mul_keys(self, k1, k2) -> GradedVector:
         word, sign = sort_monomial(tuple(k1) + tuple(k2),
-                                   lambda g: self.generators[g])
-        if word is None or len(word) > self.length_cap:
-            return GradedVector.zero(self.space) if word is None else \
-                self._overflow(word)
+                                   self.generators.__getitem__)
+        if word is None:
+            return GradedVector.zero(self.space)
+        if len(word) > self.length_cap:
+            raise WindowOverflow("polynomial degree %d exceeds window %d"
+                                 % (len(word), self.length_cap))
         return GradedVector.basis(self.space, word, sign)
 
-    def _overflow(self, word):
-        from .exact import WindowOverflow
-        raise WindowOverflow("word %r exceeds coalgebra window %s" % (word, self.name))
+    def mul(self, v: GradedVector, w: GradedVector) -> GradedVector:
+        return bilinear(self.mul_keys, self.space, v, w)
+
+    def coproduct_component(self, key, left_size):
+        """The (left_size, n - left_size) unshuffles of a basis monomial.
+
+        Yields ``(left_key, right_key, sign)`` with the Koszul sign.
+        """
+        key = tuple(key)
+        degs = [self.generators[g] for g in key]
+        for left, right in unshuffles(len(key), left_size):
+            yield (tuple(key[i] for i in left),
+                   tuple(key[i] for i in right),
+                   unshuffle_sign(degs, left, right))
 
     def coproduct_key(self, key) -> GradedVector:
         """Full unshuffle coproduct of a basis monomial."""
-        key = tuple(key)
-        n = len(key)
-        degs = [self.generators[g] for g in key]
         out = GradedVector.zero(self.square)
-        for k in range(n + 1):
-            for left, right in unshuffles(n, k):
-                sign = unshuffle_sign(degs, left, right)
-                lk = tuple(key[i] for i in left)
-                rk = tuple(key[i] for i in right)
+        for k in range(len(key) + 1):
+            for lk, rk, sign in self.coproduct_component(key, k):
                 out.add_term((lk, rk), sign)
         return out
 
-    def coderivation_from(self, components) -> GradedMap:
-        """Coderivation lifted from generator components.
+    def coderivation_key(self, key, components) -> GradedVector:
+        """The coderivation lifted from ``components`` on a basis monomial.
 
         ``components`` maps arity k to a GradedMap S^k-part -> V-part, where
         the V-part is encoded as a vector supported on length-1 words.  The
         lift sends a word to the sum over (k, n-k) unshuffles of the signed
         splice q(left) . right.
         """
+        col = GradedVector.zero(self.space)
+        for k, q in components.items():
+            for lk, rk, sign in self.coproduct_component(key, k):
+                img = q.columns.get(lk)
+                if not img:
+                    continue
+                for vkey, c in img.coeffs.items():
+                    col.add_inplace(self.mul_keys(vkey, rk), sign * c)
+        return col
+
+    def coderivation_from(self, components) -> GradedMap:
+        """``coderivation_key`` on every basis monomial, as one map."""
         shifts = {q.shift for q in components.values()}
         if len(shifts) != 1:
             raise StructuralError("coderivation components must share a shift")
-        shift = shifts.pop()
-        out = GradedMap(self.space, self.space, shift)
+        out = GradedMap(self.space, self.space, shifts.pop())
         for key in self.space.keys:
-            key = tuple(key)
-            n = len(key)
-            degs = [self.generators[g] for g in key]
-            col = GradedVector.zero(self.space)
-            for k, q in components.items():
-                if k > n:
-                    continue
-                for left, right in unshuffles(n, k):
-                    sign = unshuffle_sign(degs, left, right)
-                    lk = tuple(key[i] for i in left)
-                    rk = tuple(key[i] for i in right)
-                    img = q.columns.get(lk)
-                    if not img:
-                        continue
-                    for vkey, c in img.coeffs.items():
-                        spliced = self.mul_keys(vkey, rk)
-                        col.add_inplace(spliced, sign * c)
-            out.set_column(key, col, check=False)
+            out.set_column(key, self.coderivation_key(key, components),
+                           check=False)
         return out
 
     def is_coassociative(self) -> bool:

@@ -319,29 +319,6 @@ def phi2_tilde(f: Cochain, odd: OddSym, ug: UgWindow) -> GradedMap:
     return out
 
 
-def convolution_on_hom(odd: OddSym, target_mul, target_space,
-                       f: GradedMap, g: GradedMap) -> GradedMap:
-    """Convolution product on Hom(S(g[1]), -) with unshuffle signs."""
-    out = GradedMap(odd.space, target_space, f.shift + g.shift)
-    for key in odd.space.keys:
-        col = GradedVector.zero(target_space)
-        n = len(key)
-        for k in range(n + 1):
-            for left, right, sign in odd.coproduct_component(key, k):
-                fv = f.columns.get(left)
-                if not fv:
-                    continue
-                gv = g.columns.get(right)
-                if not gv:
-                    continue
-                ssign = sign * sgn(g.shift * (-len(left)))
-                for k1, c1 in fv.coeffs.items():
-                    for k2, c2 in gv.coeffs.items():
-                        col.add_inplace(target_mul(k1, k2), ssign * c1 * c2)
-        out.set_column(key, col, check=False)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the pullback complex and its homotopy operator
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ windows, the odd symmetric algebra S(g[1]) and its dual with the
 reversed-order monomial convention, one signed letter-removal rule behind
 the pairings, both contractions and the interior product, and
 Chevalley-Eilenberg differentials for the coefficient modules used
-downstream (trivial, symmetric, enveloping, endomorphism).
+downstream (trivial, symmetric, enveloping, endomorphism).  S(g[1]) and
+S(g) are ``coalgebra.SymCoalgebra`` windows, and every monomial basis here
+comes from ``coalgebra.monomials``.
 
 Degree conventions: g sits in degree 0, g[1] in degree -1, (g[1])^ in
 degree +1.  Basis keys are index tuples: weakly increasing for enveloping
@@ -17,13 +19,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
+from .coalgebra import SymCoalgebra, monomials
 from .exact import (Q, ZERO, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, as_q, bilinear,
                     kernel_basis, key_memo, rows_rank)
 from .series import PolyTrunc
-from .signs import sgn, sort_monomial, unshuffles, unshuffle_sign
+from .signs import sgn, sort_monomial
 
 
 class LieAlgebra:
@@ -188,20 +191,6 @@ class ValidationReport:
 # enveloping algebra windows
 # ---------------------------------------------------------------------------
 
-def _pbw_keys(dimension, cap):
-    keys = [()]
-    frontier = [()]
-    for _ in range(cap):
-        new = []
-        for word in frontier:
-            start = word[-1] if word else 0
-            for i in range(start, dimension):
-                new.append(word + (i,))
-        keys.extend(new)
-        frontier = new
-    return keys
-
-
 class UgWindow:
     """PBW window of the enveloping algebra: weakly increasing words <= cap.
 
@@ -215,8 +204,10 @@ class UgWindow:
             raise StructuralError("PBW cap must be >= 0")
         self.g = g
         self.cap = cap
-        self.space = BasisSpace("Ug(%s)<=%d" % (g.name, cap),
-                                ((k, 0) for k in _pbw_keys(g.dimension, cap)))
+        self.space = BasisSpace(
+            "Ug(%s)<=%d" % (g.name, cap),
+            ((k, 0) for k in monomials(dict.fromkeys(range(g.dimension), 0),
+                                       cap)))
         self._normal = {}
 
     @property
@@ -265,70 +256,33 @@ class UgWindow:
 # S(g[1]) and its dual
 # ---------------------------------------------------------------------------
 
-class OddSym:
-    """The odd symmetric algebra S(g[1]): subset monomials of degree -k."""
+class OddSym(SymCoalgebra):
+    """The odd symmetric algebra S(g[1]): subset monomials of degree -k, the
+    ``SymCoalgebra`` window on the basis of g in degree -1."""
 
     def __init__(self, g: LieAlgebra):
-        self.g = g
         d = g.dimension
-        items = []
-        for k in range(d + 1):
-            for comb in combinations(range(d), k):
-                items.append((comb, -k))
-        self.space = BasisSpace("S(%s[1])" % g.name, items)
+        super().__init__(dict.fromkeys(range(d), -1), d, "S(%s[1])" % g.name)
+        self.g = g
         self.top_key = tuple(range(d))
-
-    def unit(self):
-        return GradedVector.basis(self.space, ())
-
-    def mul_keys(self, k1, k2) -> GradedVector:
-        key, sign = sort_monomial(tuple(k1) + tuple(k2), lambda _i: -1)
-        if key is None:
-            return GradedVector.zero(self.space)
-        return GradedVector.basis(self.space, key, sign)
-
-    def mul(self, v, w):
-        return bilinear(self.mul_keys, self.space, v, w)
+        # the bracket component q2(x, y) = -[x, y], desuspended
+        self._q2 = GradedMap(self.space, self.space, 1)
+        for a, b in self.space.keys_of_degree(-2):
+            self._q2.set_column((a, b), GradedVector(self.space, {
+                (k,): -c for k, c in g.bracket(a, b).items()}))
 
     @key_memo
     def coderivation_bracket_key(self, key) -> GradedVector:
         """The bracket coderivation on S(g[1]) on a basis monomial.
 
         Sends x_1 ... x_n to sum_{i<j} (-1)^{i+j} [x_i, x_j]-slot prepended to
-        the remaining word (indices 1-based).  Memoized per window: the
-        result is shared and read-only.
+        the remaining word (indices 1-based): the coderivation lifted from
+        q2.  Memoized per window: the result is shared and read-only.
         """
-        key = tuple(key)
-        n = len(key)
-        out = GradedVector.zero(self.space)
-        for a in range(n):
-            for b in range(a + 1, n):
-                rest = key[:a] + key[a + 1:b] + key[b + 1:]
-                sign = sgn((a + 1) + (b + 1))
-                for k, c in self.g.bracket(key[a], key[b]).items():
-                    nkey, s2 = sort_monomial((k,) + rest, lambda _i: -1)
-                    if nkey is not None:
-                        out.add_term(nkey, sign * s2 * c)
-        return out
+        return self.coderivation_key(key, {2: self._q2})
 
     def coderivation_bracket(self) -> GradedMap:
-        m = GradedMap(self.space, self.space, 1)
-        for key in self.space.keys:
-            m.set_column(key, self.coderivation_bracket_key(key))
-        return m
-
-    def coproduct_component(self, key, left_size):
-        """(left_size, n-left_size) unshuffle component of the coproduct.
-
-        Yields ``(left_key, right_key, sign)``.
-        """
-        key = tuple(key)
-        n = len(key)
-        degs = [-1] * n
-        for left, right in unshuffles(n, left_size):
-            sign = unshuffle_sign(degs, left, right)
-            yield (tuple(key[i] for i in left),
-                   tuple(key[i] for i in right), sign)
+        return self.coderivation_from({2: self._q2})
 
 
 class DualOdd:
@@ -341,11 +295,9 @@ class DualOdd:
     def __init__(self, g: LieAlgebra):
         self.g = g
         d = g.dimension
-        items = []
-        for k in range(d + 1):
-            for comb in combinations(range(d), k):
-                items.append((tuple(reversed(comb)), k))
-        self.space = BasisSpace("S(%s[1])v" % g.name, items)
+        self.space = BasisSpace("S(%s[1])v" % g.name, (
+            (tuple(reversed(k)), len(k))
+            for k in monomials(dict.fromkeys(range(d), 1), d)))
         self.top_key = tuple(reversed(range(d)))
         self._d_g = None
 
@@ -472,27 +424,15 @@ def interior_product(dual: DualOdd, odd: OddSym, s_key, f: GradedVector) -> Grad
 # symmetric algebra on g (degree 0) and the PBW map
 # ---------------------------------------------------------------------------
 
-class SymPoly:
-    """S(g) window: weakly increasing monomials of polynomial degree <= cap."""
+class SymPoly(SymCoalgebra):
+    """S(g) window: weakly increasing monomials of polynomial degree <= cap,
+    the ``SymCoalgebra`` window on the basis of g in degree 0."""
 
     def __init__(self, g: LieAlgebra, cap: int):
+        super().__init__(dict.fromkeys(range(g.dimension), 0), cap,
+                         "S(%s)<=%d" % (g.name, cap))
         self.g = g
         self.cap = cap
-        self.space = BasisSpace("S(%s)<=%d" % (g.name, cap),
-                                ((k, 0) for k in _pbw_keys(g.dimension, cap)))
-
-    def unit(self):
-        return GradedVector.basis(self.space, ())
-
-    def mul_keys(self, k1, k2):
-        key = tuple(sorted(tuple(k1) + tuple(k2)))
-        if len(key) > self.cap:
-            raise WindowOverflow("polynomial degree %d exceeds window %d"
-                                 % (len(key), self.cap))
-        return GradedVector.basis(self.space, key)
-
-    def mul(self, v, w):
-        return bilinear(self.mul_keys, self.space, v, w)
 
     def adjoint_action(self, i: int, v: GradedVector) -> GradedVector:
         """e_i acting as the derivation extending ad_{e_i}."""

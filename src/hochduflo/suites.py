@@ -13,6 +13,7 @@ import random
 import time
 
 from .signs import sgn
+from .coalgebra import ConvolutionAlgebra
 from .exact import (GradedMap, GradedVector, StructuralError, WindowOverflow,
                     cohomology_slice, derive_seed, key_memo, random_vector,
                     solve)
@@ -763,8 +764,7 @@ def suite_duflo_maps(g: LieAlgebra, trials=50, seed=0, pbw=7, sym_cap=4):
             lhs = ctx.tp.phi_t()(ctx.tp.mul(t1, t2))
             f1 = _hom_map(ctx, ctx.tp.phi_t()(t1), d1)
             f2 = _hom_map(ctx, ctx.tp.phi_t()(t2), d2)
-            conv = D.convolution_on_hom(ctx.odd, ctx.sym.mul_keys,
-                                        ctx.sym.space, f1, f2)
+            conv = ConvolutionAlgebra(ctx.odd, ctx.sym).convolve(f1, f2)
             rvec = GradedVector.zero(ctx.tp.hom_space())
             for y, col in conv.columns.items():
                 for m, c in col.coeffs.items():
@@ -821,8 +821,7 @@ def suite_duflo_maps(g: LieAlgebra, trials=50, seed=0, pbw=7, sym_cap=4):
                                 value_keys=[k for k in ctx.ug.space.keys
                                             if len(k) <= 1], label="pg")
             lhs2 = D.phi2_tilde(cup(f, g2), ctx.odd, ctx.ug)
-            rhs2 = D.convolution_on_hom(
-                ctx.odd, ctx.ug.mul_keys, ctx.ug.space,
+            rhs2 = ConvolutionAlgebra(ctx.odd, ctx.ug).convolve(
                 D.phi2_tilde(f, ctx.odd, ctx.ug),
                 D.phi2_tilde(g2, ctx.odd, ctx.ug))
             if lhs2 != rhs2:

@@ -13,7 +13,9 @@ cohomology as it re-eliminated once per kernel vector.  The pairings,
 contractions, interior product, dual differential and HKR evaluator are
 kept as they were before one signed letter-removal rule computed them:
 permutation sums, one contraction step per letter, a subset enumeration
-and one interior product per ordering.
+and one interior product per ordering.  S(g[1]), S(g), the PBW and dual
+monomial enumerations and the convolution on Hom(S(g[1]), -) are kept as
+they were before ``coalgebra.SymCoalgebra`` carried them.
 """
 
 from fractions import Fraction
@@ -21,11 +23,13 @@ from itertools import combinations, permutations
 from math import factorial
 
 from hochduflo.duflo import DufloContext, LinearXCochain, null_homotopy
-from hochduflo.exact import (ONE, ZERO, GradedMap, GradedVector,
-                             StructuralError, kernel_basis, rows_rank)
+from hochduflo.exact import (ONE, ZERO, BasisSpace, GradedMap, GradedVector,
+                             StructuralError, WindowOverflow, bilinear,
+                             kernel_basis, key_memo, rows_rank)
 from hochduflo.hochschild import words_of
-from hochduflo.liealg import DualOdd, OddSym
-from hochduflo.signs import koszul_sign, sgn
+from hochduflo.liealg import DualOdd, LieAlgebra, OddSym
+from hochduflo.signs import (koszul_sign, sgn, sort_monomial, unshuffle_sign,
+                             unshuffles)
 from hochduflo.trio import XDerived, d_ax, d_right, d_xb, del_x
 
 Q = Fraction
@@ -767,4 +771,144 @@ def old_hkr_value(tp, B, t_key, word, coeff=ONE) -> GradedVector:
         for iv in vals:
             prod = tp.dual.mul(prod, iv)
         out.add_inplace(prod, scale * sgn(exponent))
+    return out
+
+
+# -- the symmetric-algebra windows as liealg and duflo built them before ----
+# -- coalgebra.SymCoalgebra carried them: their own enumerations, products, --
+# -- double-loop bracket coderivation, unshuffle loop and convolution --------
+
+def _pbw_keys(dimension, cap):
+    keys = [()]
+    frontier = [()]
+    for _ in range(cap):
+        new = []
+        for word in frontier:
+            start = word[-1] if word else 0
+            for i in range(start, dimension):
+                new.append(word + (i,))
+        keys.extend(new)
+        frontier = new
+    return keys
+
+
+def dual_odd_items(g: LieAlgebra):
+    """``DualOdd``'s basis items: reversed subsets in degree k."""
+    d = g.dimension
+    items = []
+    for k in range(d + 1):
+        for comb in combinations(range(d), k):
+            items.append((tuple(reversed(comb)), k))
+    return items
+
+
+class OldOddSym:
+    """The odd symmetric algebra S(g[1]): subset monomials of degree -k."""
+
+    def __init__(self, g: LieAlgebra):
+        self.g = g
+        d = g.dimension
+        items = []
+        for k in range(d + 1):
+            for comb in combinations(range(d), k):
+                items.append((comb, -k))
+        self.space = BasisSpace("S(%s[1])" % g.name, items)
+        self.top_key = tuple(range(d))
+
+    def unit(self):
+        return GradedVector.basis(self.space, ())
+
+    def mul_keys(self, k1, k2) -> GradedVector:
+        key, sign = sort_monomial(tuple(k1) + tuple(k2), lambda _i: -1)
+        if key is None:
+            return GradedVector.zero(self.space)
+        return GradedVector.basis(self.space, key, sign)
+
+    def mul(self, v, w):
+        return bilinear(self.mul_keys, self.space, v, w)
+
+    @key_memo
+    def coderivation_bracket_key(self, key) -> GradedVector:
+        """The bracket coderivation on S(g[1]) on a basis monomial.
+
+        Sends x_1 ... x_n to sum_{i<j} (-1)^{i+j} [x_i, x_j]-slot prepended to
+        the remaining word (indices 1-based).  Memoized per window: the
+        result is shared and read-only.
+        """
+        key = tuple(key)
+        n = len(key)
+        out = GradedVector.zero(self.space)
+        for a in range(n):
+            for b in range(a + 1, n):
+                rest = key[:a] + key[a + 1:b] + key[b + 1:]
+                sign = sgn((a + 1) + (b + 1))
+                for k, c in self.g.bracket(key[a], key[b]).items():
+                    nkey, s2 = sort_monomial((k,) + rest, lambda _i: -1)
+                    if nkey is not None:
+                        out.add_term(nkey, sign * s2 * c)
+        return out
+
+    def coderivation_bracket(self) -> GradedMap:
+        m = GradedMap(self.space, self.space, 1)
+        for key in self.space.keys:
+            m.set_column(key, self.coderivation_bracket_key(key))
+        return m
+
+    def coproduct_component(self, key, left_size):
+        """(left_size, n-left_size) unshuffle component of the coproduct.
+
+        Yields ``(left_key, right_key, sign)``.
+        """
+        key = tuple(key)
+        n = len(key)
+        degs = [-1] * n
+        for left, right in unshuffles(n, left_size):
+            sign = unshuffle_sign(degs, left, right)
+            yield (tuple(key[i] for i in left),
+                   tuple(key[i] for i in right), sign)
+
+
+class OldSymPoly:
+    """S(g) window: weakly increasing monomials of polynomial degree <= cap."""
+
+    def __init__(self, g: LieAlgebra, cap: int):
+        self.g = g
+        self.cap = cap
+        self.space = BasisSpace("S(%s)<=%d" % (g.name, cap),
+                                ((k, 0) for k in _pbw_keys(g.dimension, cap)))
+
+    def unit(self):
+        return GradedVector.basis(self.space, ())
+
+    def mul_keys(self, k1, k2):
+        key = tuple(sorted(tuple(k1) + tuple(k2)))
+        if len(key) > self.cap:
+            raise WindowOverflow("polynomial degree %d exceeds window %d"
+                                 % (len(key), self.cap))
+        return GradedVector.basis(self.space, key)
+
+    def mul(self, v, w):
+        return bilinear(self.mul_keys, self.space, v, w)
+
+
+def convolution_on_hom(odd: OddSym, target_mul, target_space,
+                       f: GradedMap, g: GradedMap) -> GradedMap:
+    """Convolution product on Hom(S(g[1]), -) with unshuffle signs."""
+    out = GradedMap(odd.space, target_space, f.shift + g.shift)
+    for key in odd.space.keys:
+        col = GradedVector.zero(target_space)
+        n = len(key)
+        for k in range(n + 1):
+            for left, right, sign in odd.coproduct_component(key, k):
+                fv = f.columns.get(left)
+                if not fv:
+                    continue
+                gv = g.columns.get(right)
+                if not gv:
+                    continue
+                ssign = sign * sgn(g.shift * (-len(left)))
+                for k1, c1 in fv.coeffs.items():
+                    for k2, c2 in gv.coeffs.items():
+                        col.add_inplace(target_mul(k1, k2), ssign * c1 * c2)
+        out.set_column(key, col, check=False)
     return out

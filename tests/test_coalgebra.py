@@ -12,12 +12,17 @@ from hochduflo.coalgebra import (ConvolutionAlgebra, SymCoalgebra,
                                  pair_space, shifted_letter_space,
                                  twisted_tensor_differential)
 from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
-                             StructuralError, derive_seed, random_vector)
+                             StructuralError, WindowOverflow, derive_seed,
+                             random_vector)
 from hochduflo.hochschild import (cup, dual_odd_algebra, gerstenhaber,
                                   multiplication_cochain, random_cochain)
-from hochduflo.liealg import OddSym, DualOdd, UgWindow
+from hochduflo.liealg import (LieAlgebra, OddSym, DualOdd, SymPoly,
+                              UgWindow)
 from hochduflo.keller import LieTriple
 from hochduflo.signs import sgn
+
+from oracles import (OldOddSym, OldSymPoly, _pbw_keys, convolution_on_hom,
+                     dual_odd_items)
 
 
 def odd_coalgebra(d, cap=None):
@@ -72,6 +77,88 @@ def test_coderivation_lift_zero_and_bracket(sl2):
         assert dict(got.coeffs) == dict(want.coeffs)
 
 
+# sl2 + aff1 is the smallest algebra here whose bracket coderivation has
+# images of more than one key, so it is the one that sees their order
+SYM_WINDOW_ALGEBRAS = {
+    "aff1": LieAlgebra.aff1, "sl2": LieAlgebra.sl2, "so3": LieAlgebra.so3,
+    "heisenberg3": LieAlgebra.heisenberg3,
+    "sl2+aff1": lambda: LieAlgebra(5, {(2, 0): {0: 2}, (2, 1): {1: -2},
+                                       (0, 1): {2: 1}, (3, 4): {4: 1}},
+                                   "sl2+aff1")}
+
+
+@pytest.mark.parametrize("name", sorted(SYM_WINDOW_ALGEBRAS))
+def test_symmetric_windows_match_the_old_windows(name):
+    """S(g[1]), S(g), Ug and the dual keys on ``SymCoalgebra`` and
+    ``monomials`` against the windows liealg built itself: keys, degrees and
+    names, products and refusals, the bracket coderivation and the unshuffle
+    components (coefficients and key order), and the convolution on seeded
+    maps into S(g) and Ug."""
+    g = SYM_WINDOW_ALGEBRAS[name]()
+
+    def terms(v):
+        return list(v.coeffs.items())
+
+    def product_or_refusal(window, k1, k2):
+        try:
+            return terms(window.mul_keys(k1, k2))
+        except WindowOverflow as exc:
+            return type(exc), str(exc)
+
+    def spaces_agree(new, old):
+        assert new.name == old.name
+        assert new.keys == old.keys
+        assert new.degree == old.degree
+
+    odd, old_odd = OddSym(g), OldOddSym(g)
+    spaces_agree(odd.space, old_odd.space)
+    for k1 in odd.space.keys:
+        assert terms(odd.coderivation_bracket_key(k1)) == \
+            terms(old_odd.coderivation_bracket_key(k1))
+        for j in range(len(k1) + 1):
+            assert list(odd.coproduct_component(k1, j)) == \
+                list(old_odd.coproduct_component(k1, j))
+        for k2 in odd.space.keys:
+            assert terms(odd.mul_keys(k1, k2)) == \
+                terms(old_odd.mul_keys(k1, k2))
+    assert DualOdd(g).space.keys == BasisSpace(
+        "old", dual_odd_items(g)).keys
+    for cap in (2, 4, 6) if g.dimension <= 3 else (2, 4):
+        sym, old_sym = SymPoly(g, cap), OldSymPoly(g, cap)
+        spaces_agree(sym.space, old_sym.space)
+        assert UgWindow(g, cap).space.keys == tuple(_pbw_keys(g.dimension, cap))
+        refused = 0
+        for k1 in sym.space.keys:
+            for k2 in sym.space.keys:
+                got = product_or_refusal(sym, k1, k2)
+                assert got == product_or_refusal(old_sym, k1, k2)
+                refused += got[0] is WindowOverflow
+        assert refused
+
+    ug = UgWindow(g, 4)
+    for target in (SymPoly(g, 4), ug):
+        small = [k for k in target.space.keys if len(k) <= 1]
+
+        def seeded(shift, seed):
+            m = GradedMap(odd.space, target.space, shift)
+            for y in odd.space.keys:
+                vec = random_vector(target.space, 0, derive_seed(seed, y))
+                m.set_column(y, GradedVector(target.space, {
+                    k: c for k, c in vec.coeffs.items() if k in small}),
+                    check=False)
+            return m
+
+        conv = ConvolutionAlgebra(odd, target)
+        for t in range(3):
+            f, f2 = seeded(t, "f%d" % t), seeded(t + 1, "g%d" % t)
+            got = conv.convolve(f, f2)
+            want = convolution_on_hom(odd, target.mul_keys, target.space,
+                                      f, f2)
+            assert [(y, terms(v)) for y, v in got.columns.items()] == \
+                [(y, terms(v)) for y, v in want.columns.items()]
+            assert got.columns
+
+
 def test_coderivation_law(sl2):
     """Delta o Q = (Q (x) id + id (x) Q) o Delta on the window."""
     C = odd_coalgebra(3)
@@ -124,43 +211,12 @@ def test_coderivation_lift_on_tensor_words(aff1):
         assert lifted.column(word) == expect
 
 
-class _OddAdapter:
-    """Coalgebra facade of the odd symmetric space for convolution."""
-
-    def __init__(self, g):
-        self.odd = OddSym(g)
-        self.space = self.odd.space
-        self._cache = {}
-
-    def coproduct_key(self, key):
-        got = self._cache.get(key)
-        if got is None:
-            out = {}
-            key = tuple(key)
-            n = len(key)
-            for k in range(n + 1):
-                for left, right, sign in self.odd.coproduct_component(key, k):
-                    out[(left, right)] = out.get((left, right), Q(0)) + sign
-            got = self._cache[key] = GradedVector.__new__(GradedVector)
-            got.space = None
-            got.coeffs = out
-        return got
-
-
-def _dual_functional(dual, b_vec):
-    """A dual vector as a map from the odd space to the ground field."""
-    from hochduflo.liealg import pair_dual_vec
-    k_space = BasisSpace("k", ((("1",), 0),))
-    odd_keys = [tuple(reversed(k)) for k in dual.space.keys]
-    return k_space
-
-
 def test_convolution_unit_and_pairing_identity(sl2):
     """unit * f = f, and the product of functionals is the pairing."""
     from hochduflo.liealg import pair_dual_vec
     g = sl2
     odd, dual = OddSym(g), DualOdd(g)
-    C = _OddAdapter(g)
+    C = odd
     k_space = BasisSpace("k", ((("1",), 0),))
 
     class Ground:
@@ -205,7 +261,7 @@ def test_convolution_derivation_and_associativity(aff1):
     from hochduflo.liealg import pair_dual_vec
     odd, dual = OddSym(aff1), DualOdd(aff1)
     B = dual_odd_algebra(dual, odd)
-    C = _OddAdapter(aff1)
+    C = odd
     conv = ConvolutionAlgebra(C, B,
                               co_differential=odd.coderivation_bracket_key,
                               alg_differential=B.d_key)
@@ -236,7 +292,7 @@ def test_convolution_derivation_and_associativity(aff1):
 
 def _canonical_twisting_cochain(g, ug, odd):
     """The degree-one map landing generators in the enveloping window."""
-    C = _OddAdapter(g)
+    C = odd
     tau = GradedMap(C.space, ug.space, 1)
     for i in range(g.dimension):
         tau.set_column((i,), GradedVector.basis(ug.space, (i,), -1),
@@ -261,7 +317,7 @@ def test_twisting_cochain_and_twisted_tensor(sl2, abelian2):
     ugA = UgWindow(abelian2, 4)
     oddA = OddSym(abelian2)
     AA = ug_algebra(ugA)
-    CA = _OddAdapter(abelian2)
+    CA = oddA
     convA = ConvolutionAlgebra(CA, AA,
                                co_differential=oddA.coderivation_bracket_key,
                                alg_differential=None)

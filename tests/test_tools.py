@@ -1,0 +1,40 @@
+"""``tools/bench_pairs.py``: the summary keeps a trace of refused runs."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).parent.parent
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_summary_counts_gauge_refusals_and_unscaled_passes():
+    bench = load_bench_pairs()
+    assert bench.UNSCALED.search(
+        "x\nunscaled: median pass 0.312 s; median kernel 1.0 ms\n"
+    ).group(1) == "0.312"
+
+    def ok(wall, unscaled):
+        return {"exit": 0, "stderr": None, "unscaled_pass_s": unscaled,
+                "result": {"failed": 0,
+                           "metrics": {"wall_s": {"value": wall}}}}
+
+    refused = {"exit": 2, "result": None, "unscaled_pass_s": None,
+               "stderr": "perfbench: 7 speed samples around an interval "
+                         "of 0.014 s"}
+    crashed = dict(refused, stderr="Traceback ...")
+    pairs = [{"workload": "w", "parent": ok(1.0, 0.4), "change": ok(0.9, 0.3)},
+             {"workload": "w", "parent": ok(1.0, 0.5), "change": refused},
+             {"workload": "w", "parent": crashed, "change": refused}]
+    table = bench.summarize(pairs, {"wall_s": "lower"})["w"]
+    assert table["pairs"] == 1
+    assert table["gauge_refusals"] == {"parent": 0, "change": 2}
+    assert table["unscaled_pass_s"] == {"parent": [0.4, 0.5, None],
+                                        "change": [0.3, None, None]}
+    assert table["wall_s"]["change_wins"] == 1

@@ -21,7 +21,11 @@ same benchmark code.  The output holds every run's result line (the last
 line of ``run.py``'s standard output) and, per workload and end-to-end
 metric (taken from ``BENCHMARK.json`` of the change), each side's median
 and quartiles and the number of pairs the change won (ties count for
-neither side).  The file is rewritten after every pair, so an interrupted
+neither side).  Those figures read only the pairs where both sides gave a
+result, so each workload and side also records every run's unscaled median
+pass (from ``run.py``'s ``unscaled:`` line, null when it printed none) and
+``gauge_refusals``, the runs that exited 2 because the speed gauge had too
+few samples around a pass.  The file is rewritten after every pair, so an interrupted
 recording keeps its finished pairs.  Only the standard library is used.
 """
 
@@ -41,6 +45,9 @@ from pathlib import Path
 # the acceptance tests whose durations ``--tier1`` records
 AC_TESTS = ("test_ac2_", "test_ac3_", "test_ac4_", "test_ac8_", "test_ac9_")
 DURATION = re.compile(r"^([0-9.]+)s call\s+\S+::(\w+)$")
+UNSCALED = re.compile(r"^unscaled: median pass ([0-9.]+) s;", re.MULTILINE)
+GAUGE_REFUSAL = "speed samples around an interval"
+SIDES = ("parent", "change")
 
 
 def parse_seeds(text):
@@ -53,7 +60,8 @@ def parse_seeds(text):
 
 
 def run_once(checkout, workload, seed, seconds):
-    """One ``--trace 0`` run in ``checkout``: its exit status and result."""
+    """One ``--trace 0`` run in ``checkout``: its exit status, result and
+    unscaled median pass."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -63,8 +71,10 @@ def run_once(checkout, workload, seed, seconds):
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
+    unscaled = UNSCALED.search(proc.stdout)
     return {"exit": proc.returncode, "result": result,
-            "stderr": proc.stderr.strip()[-2000:] or None}
+            "stderr": proc.stderr.strip()[-2000:] or None,
+            "unscaled_pass_s": float(unscaled.group(1)) if unscaled else None}
 
 
 def run_tier1(checkout):
@@ -98,20 +108,30 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def gauge_refused(run):
+    """Whether ``run.py`` exited 2 for want of speed samples around a pass."""
+    return run["exit"] == 2 and GAUGE_REFUSAL in (run["stderr"] or "")
+
+
 def summarize(pairs, metrics):
-    """Per workload and metric: both sides' quartiles and the change's wins."""
+    """Per workload and metric: both sides' quartiles and the change's wins;
+    per workload and side: every run's unscaled pass and the gauge refusals."""
     out = {}
     for workload in sorted({p["workload"] for p in pairs}):
-        done = [p for p in pairs if p["workload"] == workload
-                and p["parent"]["result"] and p["change"]["result"]]
+        runs = [p for p in pairs if p["workload"] == workload]
+        done = [p for p in runs
+                if p["parent"]["result"] and p["change"]["result"]]
         table = out[workload] = {
             "pairs": len(done),
             "failed_ops": {side: sum(p[side]["result"]["failed"]
-                                     for p in done)
-                           for side in ("parent", "change")}}
+                                     for p in done) for side in SIDES},
+            "gauge_refusals": {side: sum(gauge_refused(p[side])
+                                         for p in runs) for side in SIDES},
+            "unscaled_pass_s": {side: [p[side]["unscaled_pass_s"]
+                                       for p in runs] for side in SIDES}}
         for name, better in metrics.items() if done else ():
             values = {side: [p[side]["result"]["metrics"][name]["value"]
-                             for p in done] for side in ("parent", "change")}
+                             for p in done] for side in SIDES}
             sign = 1 if better == "lower" else -1
             wins = sum(sign * (c - a) < 0 for a, c in
                        zip(values["parent"], values["change"]))
@@ -148,7 +168,7 @@ def main(argv=None):
         "pairs": [], "summary": {}}
     if args.tier1:
         record["tier1"] = {side: run_tier1(getattr(args, side))
-                           for side in ("parent", "change")}
+                           for side in SIDES}
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True)
                             + "\n")
         print("tier1: exit %d/%d" % (record["tier1"]["parent"]["exit"],
@@ -171,8 +191,7 @@ def main(argv=None):
                 workload, seed, first, pair["parent"]["exit"],
                 pair["change"]["exit"]), flush=True)
             index += 1
-    exits = [p[side]["exit"] for p in record["pairs"]
-             for side in ("parent", "change")]
+    exits = [p[side]["exit"] for p in record["pairs"] for side in SIDES]
     exits += [run["exit"] for run in record.get("tier1", {}).values()]
     return 1 if any(exits) else 0
 
