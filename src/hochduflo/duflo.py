@@ -275,11 +275,17 @@ def hkr_cochain(tp: PolyVectors, B: DgAlgebra, t_key, coeff=ONE) -> Cochain:
 
     def fn(word):
         out = GradedVector.zero(B.space)
+        # iota[i][j]: the interior product of mkey[j] on word[i]; a row of
+        # zeros makes every ordering vanish
+        iota = []
+        for b in word:
+            row = [interior_product(tp.dual, tp.odd, (x,),
+                                    GradedVector.basis(tp.dual.space, b))
+                   for x in mkey]
+            if not any(row):
+                return out
+            iota.append(row)
         sign = sgn(sum((q - 1 - i) * len(b) for i, b in enumerate(word)))
-        # iota[i][j]: the interior product of mkey[j] on word[i]
-        iota = [[interior_product(tp.dual, tp.odd, (x,),
-                                  GradedVector.basis(tp.dual.space, b))
-                 for x in mkey] for b in word]
         for perm in permutations(range(q)):
             vals = [iota[i][perm[i]] for i in range(q)]
             if not all(vals):

@@ -706,14 +706,20 @@ def random_vector(space: BasisSpace, degree: int, seed: int) -> GradedVector:
 
     Coefficients are integers in [-3, 3]; the result is a pure function of
     ``(space.name, degree, seed)``.  An empty slice gives the zero vector.
+    Each coefficient is ``rng.randint(-3, 3)``, drawn by the same rejection
+    loop on 3-bit words that ``randint`` runs, without its call overhead.
     """
     keys = space.keys_of_degree(degree)
     v = GradedVector.zero(space)
     if not keys:
         return v
-    rng = random.Random(derive_seed("random_vector", space.name, degree, seed))
+    bits = random.Random(
+        derive_seed("random_vector", space.name, degree, seed)).getrandbits
+    coeffs = v.coeffs
     for key in keys:
-        c = rng.randint(-3, 3)
-        if c:
-            v.coeffs[key] = c
+        c = bits(3)
+        while c >= 7:
+            c = bits(3)
+        if c != 3:
+            coeffs[key] = c - 3
     return v

@@ -442,6 +442,14 @@ class ModuleCochain(WordCochain):
     ``d(m)``, ``h(m)``, ``lmul(a_key, m)``, ``rmul(m, a_key)`` -- the
     value-module protocol of :func:`hochschild.hoch_d` plus the homotopy,
     as :class:`AbelianActionCone` provides them.
+
+    Values are memoized per instance and per word, so each level of the
+    tail chain of :func:`frak_h_sequence` evaluates the level below it once
+    per word.  This is safe because the module's operations build new
+    values and no caller changes one in place, and a refusal
+    (``WindowOverflow``) is raised again, never stored.  ``Derived`` and
+    ``trio.XDerived`` stay uncached: the Duflo lift reads columns that its
+    absorber changes in place.
     """
 
     def __init__(self, algebra: DgAlgebra, module: AbelianActionCone,
@@ -457,6 +465,11 @@ class ModuleCochain(WordCochain):
         word = tuple(word)
         if len(word) != self.p:
             raise StructuralError("arity mismatch in %s" % self.label)
+        return self._word_value(word)
+
+    @key_memo
+    def _word_value(self, word):
+        """The value on ``word``, computed once per cochain."""
         return self._fn(word)
 
     def derived(self, p, r, fn, label) -> "ModuleCochain":
@@ -476,7 +489,8 @@ def module_H(f: ModuleCochain, r: int) -> ModuleCochain:
 
 
 def frak_h_sequence(f: ModuleCochain, r: int, k_max: int):
-    """The operators (H d_H)^k H f for k = 0..k_max, lazily chained."""
+    """The operators (H d_H)^k H f for k = 0..k_max, lazily chained; each
+    level remembers its values, so the level below is read once per word."""
     current = module_H(f, r)
     out = [(current, current.r)]
     for _ in range(k_max):

@@ -15,9 +15,13 @@ kept as they were before one signed letter-removal rule computed them:
 permutation sums, one contraction step per letter, a subset enumeration
 and one interior product per ordering.  S(g[1]), S(g), the PBW and dual
 monomial enumerations and the convolution on Hom(S(g[1]), -) are kept as
-they were before ``coalgebra.SymCoalgebra`` carried them.
+they were before ``coalgebra.SymCoalgebra`` carried them.  The tail chain
+of module-valued cochains is kept lazy, as it was before each level
+remembered its values, and the seeded random vector draws through
+``randint`` as it did before it read the generator's bits itself.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -25,8 +29,9 @@ from math import factorial
 from hochduflo.duflo import DufloContext, LinearXCochain, null_homotopy
 from hochduflo.exact import (ONE, ZERO, BasisSpace, GradedMap, GradedVector,
                              StructuralError, WindowOverflow, bilinear,
-                             kernel_basis, key_memo, rows_rank)
-from hochduflo.hochschild import words_of
+                             derive_seed, kernel_basis, key_memo, rows_rank)
+from hochduflo.hochschild import hoch_d, words_of
+from hochduflo.keller import ModuleCochain
 from hochduflo.liealg import DualOdd, LieAlgebra, OddSym
 from hochduflo.signs import (koszul_sign, sgn, sort_monomial, unshuffle_sign,
                              unshuffles)
@@ -911,4 +916,62 @@ def convolution_on_hom(odd: OddSym, target_mul, target_space,
                     for k2, c2 in gv.coeffs.items():
                         col.add_inplace(target_mul(k1, k2), ssign * c1 * c2)
         out.set_column(key, col, check=False)
+    return out
+
+
+# -- the seeded random vector as it drew through ``randint`` ----------------
+
+def old_random_vector(space: BasisSpace, degree: int, seed: int) -> GradedVector:
+    """Deterministic pseudo-random vector on a degree slice.
+
+    Coefficients are integers in [-3, 3]; the result is a pure function of
+    ``(space.name, degree, seed)``.  An empty slice gives the zero vector.
+    """
+    keys = space.keys_of_degree(degree)
+    v = GradedVector.zero(space)
+    if not keys:
+        return v
+    rng = random.Random(derive_seed("random_vector", space.name, degree, seed))
+    for key in keys:
+        c = rng.randint(-3, 3)
+        if c:
+            v.coeffs[key] = c
+    return v
+
+
+# -- the tail chain without a memo: each level reads the one below lazily ---
+
+class LazyModuleCochain(ModuleCochain):
+    """``keller.ModuleCochain`` as it evaluated before it remembered its
+    values: every call runs the formula again."""
+
+    def value(self, word):
+        word = tuple(word)
+        if len(word) != self.p:
+            raise StructuralError("arity mismatch in %s" % self.label)
+        return self._fn(word)
+
+    def derived(self, p, r, fn, label) -> "LazyModuleCochain":
+        return LazyModuleCochain(self.algebra, self.module, p, fn,
+                                 label=label, r=r)
+
+
+def lazy_module_H(f: ModuleCochain, r: int) -> LazyModuleCochain:
+    """H f for f of degree r: the homotopy applied valuewise, degree r-1."""
+    M = f.module
+
+    def fn(word):
+        return M.h(f.value(word))
+
+    return LazyModuleCochain(f.algebra, M, f.p, fn, label="H(%s)" % f.label,
+                             r=r - 1)
+
+
+def lazy_frak_h_sequence(f: ModuleCochain, r: int, k_max: int):
+    """The operators (H d_H)^k H f for k = 0..k_max, lazily chained."""
+    current = lazy_module_H(f, r)
+    out = [(current, current.r)]
+    for _ in range(k_max):
+        current = lazy_module_H(hoch_d(current, current.module), current.r)
+        out.append((current, current.r))
     return out

@@ -14,11 +14,12 @@ from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
                              random_vector, rank, rows_nullspace, rows_rank,
                              rows_solve, solve)
 from hochduflo.hochschild import dual_odd_algebra, interior_hh
-from hochduflo.liealg import DualOdd, LieAlgebra, OddSym
+from hochduflo.liealg import DualOdd, LieAlgebra, OddSym, UgWindow
 from hochduflo.keller import LieTriple
 
 from oracles import (dense_rows_nullspace, dense_rows_rank, dense_rows_solve,
-                     gauss_nullity, gauss_rank, greedy_cohomology_slice)
+                     gauss_nullity, gauss_rank, greedy_cohomology_slice,
+                     old_random_vector)
 
 
 def small_space(name="V"):
@@ -206,6 +207,29 @@ def test_random_vector_determinism_and_spread():
     assert a == b
     assert random_vector(V, 99, 3).is_zero()      # empty slice
     assert any(len(random_vector(V, 0, s).coeffs) >= 2 for s in range(100))
+
+
+# seeded spaces of several shapes: PBW and S(g[1]) windows, the bimodule
+# window of the triple, and a hand-made space with a gap in its degrees
+DRAW_SPACES = [UgWindow(LieAlgebra.sl2(), 4).space,
+               UgWindow(LieAlgebra.abelian(1), 16).space,
+               OddSym(LieAlgebra.sl2()).space,
+               DualOdd(LieAlgebra.heisenberg3()).space,
+               LieTriple(LieAlgebra.aff1(), 3).x_space,
+               BasisSpace("gap", [((i,), 2 * (i % 3)) for i in range(40)])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(DRAW_SPACES), st.integers(-4, 5),
+       st.integers(-2 ** 40, 2 ** 40))
+def test_random_vector_draws_the_randint_stream(space, degree, seed):
+    """The bit-level draw gives ``randint``'s coefficients, in key order,
+    on every slice, the empty ones included."""
+    got = random_vector(space, degree, seed)
+    want = old_random_vector(space, degree, seed)
+    assert got.space is want.space
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert all(type(c) is int for c in got.coeffs.values())
 
 
 def test_fraction_free_solver_agrees_with_plain_gauss():

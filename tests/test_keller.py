@@ -23,6 +23,8 @@ from hochduflo.duflo import (DufloContext, duflo_series,
                              lift_central_through_projection, lift_residuals,
                              random_pullback_element, series_contraction)
 
+from oracles import LazyModuleCochain, lazy_frak_h_sequence
+
 
 def test_build_triple_rejects_bad_jacobi():
     bad = LieAlgebra(3, {(0, 1): {2: 1, 0: 1}, (2, 0): {0: 2},
@@ -383,19 +385,24 @@ def test_vanishing_suite(aff1):
     assert report.ok, [(c.name, c.witness) for c in report.checks if not c.ok]
 
 
-def test_tail_values_stay_equal_to_fresh_draws():
-    """The vanishing suite's tail sweep hands its memoized values out shared:
-    after a ``frak_h_vanishing_index`` sweep every stored triple still
-    equals a fresh draw, so no caller mutated one, and a second call
-    returns the stored object."""
-    cone = AbelianActionCone(dom_cap=5, val_cap=16)
-    M = cone.module()
-    A = ug_algebra(cone.val)
+def tail_chain_setup(dom_cap, val_cap):
+    """A tail cone, its value module, its algebra and the vanishing suite's
+    words: the first 30 words of each arity over the letters."""
+    cone = AbelianActionCone(dom_cap=dom_cap, val_cap=val_cap)
     a_letters = [k for k in cone.val.space.keys if len(k) <= 1]
 
     def words_fn(n):
         return list(product(a_letters, repeat=n))[:30]
 
+    return cone, cone.module(), ug_algebra(cone.val), words_fn
+
+
+def test_tail_values_stay_equal_to_fresh_draws():
+    """The vanishing suite's tail sweep hands its memoized values out shared:
+    after a ``frak_h_vanishing_index`` sweep every stored triple still
+    equals a fresh draw, so no caller mutated one, and a second call
+    returns the stored object."""
+    cone, M, A, words_fn = tail_chain_setup(5, 16)
     for (p, r) in ((0, 0), (1, 0), (0, 1)):
         tails = TailValues(cone, 7, p, r)
         f = ModuleCochain(A, M, p, tails.value, label="tail")
@@ -406,6 +413,62 @@ def test_tail_values_stay_equal_to_fresh_draws():
         for (word,), got in memo.items():
             assert got == TailValues.value.__wrapped__(tails, word), word
             assert tails.value(word) is got
+
+
+@pytest.mark.parametrize("caps", [(5, 16), (3, 4)])
+def test_memoized_tail_chain_matches_the_lazy_chain(caps):
+    """Each level of the tail chain, which remembers its values, equals
+    the lazy chain on the vanishing suite's words.  The (3, 4) cone leaves
+    its window on some words: the memoized chain refuses exactly there,
+    again on a second read, and stores nothing for them."""
+    cone, M, A, words_fn = tail_chain_setup(*caps)
+    refused = 0
+    for (p, r) in ((0, 0), (1, 0), (0, 1)):
+        tails = TailValues(cone, 7, p, r)
+        k_max = p + r + cone.degree_bound() + 2
+        seq = frak_h_sequence(
+            ModuleCochain(A, M, p, tails.value, label="tail"), r, k_max)
+        lazy = lazy_frak_h_sequence(
+            LazyModuleCochain(A, M, p, tails.value, label="tail"), r, k_max)
+        assert [deg for _, deg in seq] == [deg for _, deg in lazy]
+        for k, ((hk, _), (lk, _)) in enumerate(zip(seq, lazy)):
+            for word in words_fn(p + k):
+                try:
+                    want = lk.value(word)
+                except WindowOverflow:
+                    refused += 1
+                    for _ in range(2):
+                        with pytest.raises(WindowOverflow):
+                            hk.value(word)
+                    assert (word,) not in hk.__dict__.get(
+                        "_memo__word_value", {})
+                    continue
+                assert hk.value(word) == want, (p, r, k, word)
+                assert hk.value(word) is hk.value(word)
+    assert refused == (0 if caps == (5, 16) else 7)
+
+
+def test_tail_memo_survives_a_second_sweep():
+    """Two ``frak_h_vanishing_index`` sweeps of one cochain agree, and
+    afterwards every remembered value of both chains and of the cochain
+    itself still equals a fresh evaluation of its formula: no caller
+    changed a shared value in place."""
+    cone, M, A, words_fn = tail_chain_setup(5, 16)
+    fresh = ModuleCochain._word_value.__wrapped__
+    for (p, r) in ((0, 0), (1, 0), (0, 1)):
+        f = ModuleCochain(A, M, p, TailValues(cone, 7, p, r).value,
+                          label="tail")
+        k_max = p + r + cone.degree_bound() + 2
+        first, seq1 = frak_h_vanishing_index(f, r, k_max, words_fn)
+        second, seq2 = frak_h_vanishing_index(f, r, k_max, words_fn)
+        assert first == second
+        cochains = [f] + [hk for hk, _ in seq1 + seq2]
+        for cochain in cochains:
+            for (word,), got in cochain._memo__word_value.items():
+                assert got == fresh(cochain, word), (cochain.label, word)
+        for (h1, _), (h2, _) in zip(seq1, seq2):
+            for (word,), got in h1._memo__word_value.items():
+                assert h2.value(word) == got
 
 
 # -- the key-level memo tables ----------------------------------------------

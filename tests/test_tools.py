@@ -1,7 +1,12 @@
-"""``tools/bench_pairs.py``: the summary keeps a trace of refused runs."""
+"""The benchmark tooling: ``tools/bench_pairs.py`` keeps a trace of
+refused runs, and every workload's set-up probe runs."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parent.parent
 
@@ -38,3 +43,14 @@ def test_summary_counts_gauge_refusals_and_unscaled_passes():
     assert table["unscaled_pass_s"] == {"parent": [0.4, 0.5, None],
                                         "change": [0.3, None, None]}
     assert table["wall_s"]["change_wins"] == 1
+
+
+@pytest.mark.parametrize("workload", ["endgame", "certificates", "elimination"])
+def test_setup_probe_exits_zero(workload):
+    """``perfbench/run.py`` exits 2 both on a speed-gauge refusal and on a
+    set-up probe that fails; this tells the second apart."""
+    probe = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--setup-probe"],
+        cwd=ROOT, capture_output=True, text=True, check=False, timeout=300)
+    assert probe.returncode == 0, probe.stderr[-2000:]
