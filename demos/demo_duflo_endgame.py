@@ -8,11 +8,11 @@ correspondence) agree class by class, and dropping it breaks the class
 comparison too.  Every number below is an exact rational.
 """
 
-from hochduflo.liealg import (LieAlgebra, ce_module_sym, invariants_basis,
-                              pbw_map)
+from hochduflo.liealg import LieAlgebra, pbw_map
 from hochduflo.duflo import (DufloContext, duflo_series,
                              lift_central_through_projection, lift_residuals,
-                             series_contraction, todd_determinant)
+                             quadratic_invariant, series_contraction,
+                             todd_determinant)
 
 g = LieAlgebra.sl2()
 ctx = DufloContext(g, pbw_cap=6, sym_cap=4)
@@ -22,8 +22,7 @@ print("invariant series:", J)
 print("square root     :", Js)
 print("determinant route agrees:", todd_determinant(g, 4) == J)
 
-inv = invariants_basis(g, ce_module_sym(ctx.sym), 0)
-P = [v for v in inv if v.coeffs and all(len(k) == 2 for k in v.coeffs)][0]
+P = quadratic_invariant(g, ctx.sym)
 print("quadratic invariant:", P)
 
 corrected = series_contraction(ctx.sym, Js, P)

@@ -16,14 +16,15 @@ from itertools import permutations, product
 from math import factorial
 
 from .signs import sgn, perm_parity
+from .coalgebra import pair_space
 from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, bilinear, derive_seed,
-                    random_vector)
+                    key_memo, random_vector)
 from .series import PolyTrunc, duflo_log_coefficients, matrix_series_det
 from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, SymPoly,
                      interior_product, pair_dual_vec, pbw_map, ce_differential,
                      ce_hom_differential, ce_hom_space, ce_module_sym,
-                     ce_module_ug, coadjoint_action_poly)
+                     ce_module_ug, coadjoint_action_poly, invariants_basis)
 from .hochschild import (Cochain, Derived, DgAlgebra, BimoduleOps, add_cochain,
                          hoch_d, hoch_partial, words_of)
 from .keller import LieTriple
@@ -87,6 +88,12 @@ def invariance_defects(g: LieAlgebra, series: PolyTrunc):
         if not img.is_zero():
             bad.append((i, img))
     return bad
+
+
+def quadratic_invariant(g: LieAlgebra, sym: SymPoly):
+    """The first invariant of S(g) homogeneous of degree two, or None."""
+    return next((v for v in invariants_basis(g, ce_module_sym(sym), 0)
+                 if v.coeffs and all(len(k) == 2 for k in v.coeffs)), None)
 
 
 def series_contraction(sym: SymPoly, series: PolyTrunc,
@@ -185,14 +192,8 @@ class PolyVectors:
         self.odd = OddSym(g)
         self.dual = DualOdd(g)
         self.sym = SymPoly(g, sym_cap)
-        items = []
-        for b in self.dual.space.keys:
-            for m in self.sym.space.keys:
-                items.append(((b, m), len(b)))
-        self.space = BasisSpace("Tpoly(%s[1])<=%d" % (g.name, sym_cap), items)
-        self._hom_space = None
-        self._phi_t = None
-        self._d_t = None
+        self.space = pair_space(self.dual.space, self.sym.space,
+                                "Tpoly(%s[1])<=%d" % (g.name, sym_cap))
 
     def unit(self):
         return GradedVector.basis(self.space, ((), ()))
@@ -201,35 +202,34 @@ class PolyVectors:
         (b1, m1), (b2, m2) = k1, k2
         out = GradedVector.zero(self.space)
         bprod = self.dual.mul_keys(b1, b2)
-        mprod = tuple(sorted(m1 + m2))
-        if len(mprod) > self.sym.cap:
-            raise WindowOverflow("polyvector degree exceeds the S(g) window")
-        for bk, c in bprod.items():
-            out.add_term((bk, mprod), c)
+        for mk, cm in self.sym.mul_keys(m1, m2).items():
+            for bk, c in bprod.items():
+                out.add_term((bk, mk), c * cm)
         return out
 
     def mul(self, v, w):
         return bilinear(self.mul_keys, self.space, v, w)
 
+    def function(self, s: GradedVector) -> GradedVector:
+        """The polyvector (1, s) of a polynomial s in S(g)."""
+        return GradedVector(self.space, {((), m): c
+                                         for m, c in s.coeffs.items()})
+
+    @key_memo
     def hom_space(self) -> BasisSpace:
         """Hom(S(g[1]), S(g)) window with keys (source, value)."""
-        if self._hom_space is None:
-            self._hom_space = ce_hom_space(
-                self.odd, self.sym.space.keys,
-                "Hom(S(%s[1]),Sg)<=%d" % (self.g.name, self.sym.cap))
-        return self._hom_space
+        name = "Hom(S(%s[1]),Sg)<=%d" % (self.g.name, self.sym.cap)
+        return ce_hom_space(self.odd, self.sym.space.keys, name)
 
+    @key_memo
     def phi_t(self) -> GradedMap:
         """The identification with CE cochains: (f (x) m) -> <f, -> m."""
-        if self._phi_t is not None:
-            return self._phi_t
         hom = self.hom_space()
         out = GradedMap(self.space, hom, 0)
         for (b, m) in self.space.keys:
             y = tuple(reversed(b))          # the one partner of b
             col = GradedVector.basis(hom, (y, m), pair_dual_vec(b, y))
             out.set_column((b, m), col, check=False)
-        self._phi_t = out
         return out
 
     def phi_t_inverse(self) -> GradedMap:
@@ -250,14 +250,12 @@ class PolyVectors:
                            check=False)
         return out
 
+    @key_memo
     def d_t(self) -> GradedMap:
         """The Schouten-type differential, conjugated through phi_T."""
-        if self._d_t is None:
-            d_ce = ce_hom_differential(self.odd, ce_module_sym(self.sym),
-                                       self.hom_space())
-            self._d_t = self.phi_t_inverse().compose(
-                d_ce.compose(self.phi_t()))
-        return self._d_t
+        d_ce = ce_hom_differential(self.odd, ce_module_sym(self.sym),
+                                   self.hom_space())
+        return self.phi_t_inverse().compose(d_ce.compose(self.phi_t()))
 
 
 def hkr_cochain(tp: PolyVectors, B: DgAlgebra, t_key, coeff=ONE) -> Cochain:

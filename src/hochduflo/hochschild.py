@@ -5,18 +5,19 @@ columnwise over basis words; an absent column is zero, so sparsely supported
 random cochains are honest cochains on the whole window.  The module provides
 the Hochschild differential, the differential induced by the dg structures,
 the cup product, the insertion compositions and the Gerstenhaber bracket as
-exact evaluators, plus matrix-level interior-window cohomology for finite
-algebras.
+exact evaluators, plus matrix-level interior-window cohomology and the class
+test on one total-degree slice (``TotalSlice``) for finite algebras.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 
 from .signs import sgn
 from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
                     bilinear, cohomology_slice, derive_seed, key_memo,
-                    random_vector)
+                    random_vector, solve)
 
 
 class TruncationWindow:
@@ -530,6 +531,63 @@ def total_differential(algebra: DgAlgebra, bimod: BimoduleOps,
                 add((p, w1), vvec.scale(-sgn(r + acc) * c), 1)
         out.set_column((p, word, vkey), col, check=False)
     return out
+
+
+class TotalSlice:
+    """Hochschild classes on one total-degree slice up to an arity cap.
+
+    ``space`` is the slice; ``d_in`` comes from the slice of degree - 1 at
+    the same cap and ``d_out`` goes to the slice of degree + 1 at cap + 1.
+    Each is built on first use and only once.
+    """
+
+    def __init__(self, algebra: DgAlgebra, bimod: BimoduleOps,
+                 total_degree: int, arity_cap: int):
+        self.algebra, self.bimod = algebra, bimod
+        self.degree, self.cap = total_degree, arity_cap
+
+    def _slice(self, shift, cap) -> BasisSpace:
+        return total_cochain_space(self.algebra, self.bimod.space,
+                                   self.degree + shift, cap)
+
+    @cached_property
+    def space(self) -> BasisSpace:
+        return self._slice(0, self.cap)
+
+    @cached_property
+    def d_in(self) -> GradedMap:
+        return total_differential(self.algebra, self.bimod,
+                                  self._slice(-1, self.cap), self.space)
+
+    @cached_property
+    def d_out(self) -> GradedMap:
+        return total_differential(self.algebra, self.bimod, self.space,
+                                  self._slice(1, self.cap + 1))
+
+    def vector(self, parts) -> GradedVector:
+        """The slice vector of cochains keyed by bidegree (p, r)."""
+        out = GradedVector.zero(self.space)
+        for (p, word, vkey) in self.space.keys:
+            r = self.bimod.space.degree[vkey] - self.algebra.word_degree(word)
+            f = parts.get((p, r))
+            if f is None or f.p != p:
+                continue
+            c = f.value(word).coeff(vkey)
+            if c:
+                out.add_term((p, word, vkey), c)
+        return out
+
+    def is_boundary(self, v: GradedVector) -> bool:
+        return solve([self.d_in.column(k) for k in self.d_in.source.keys],
+                     v) is not None
+
+    def same_class(self, parts1, parts2):
+        """Whether two cochain families have one class on the slice; None
+        when either is not a cocycle there."""
+        v1, v2 = self.vector(parts1), self.vector(parts2)
+        if self.d_out(v1) or self.d_out(v2):
+            return None
+        return self.is_boundary(v1 - v2)
 
 
 def interior_hh(algebra: DgAlgebra, total_degree: int, arity_window: int,

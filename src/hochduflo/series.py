@@ -15,6 +15,7 @@ from itertools import permutations
 from math import factorial
 
 from .exact import Q, ZERO, ONE, StructuralError
+from .signs import perm_parity
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +183,7 @@ def matrix_series_det(entry_series, dim, order):
     out = PolyTrunc.zero(dim=entry_series[0][0].dim, order=order)
     n = len(entry_series)
     for perm in permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        term = PolyTrunc.constant(out.dim, order, sign)
+        term = PolyTrunc.constant(out.dim, order, perm_parity(perm))
         for i in range(n):
             term = term * entry_series[i][perm[i]]
         out = out + term

@@ -8,28 +8,26 @@ from its seed.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 
 from .signs import sgn
 from .coalgebra import ConvolutionAlgebra
 from .exact import (GradedMap, GradedVector, StructuralError, WindowOverflow,
-                    cohomology_slice, derive_seed, key_memo, random_vector,
-                    solve)
-from .liealg import (LieAlgebra, OddSym, DualOdd, UgWindow, ce_module_sym,
-                     ce_module_ug, ce_differential, ce_hom_differential,
-                     ce_hom_space, invariants_basis, pbw_map)
-from .hochschild import (BimoduleOps, cup, dual_odd_algebra, gerstenhaber,
-                         hoch_d, hoch_partial, identity_cochain, interior_hh,
-                         multiplication_cochain, differential_cochain,
-                         random_cochain, total_cochain_space,
-                         total_differential, unit_cochain, ug_algebra,
-                         words_of)
-from .trio import (ALinearEnds, BLinearEnds, EndCochain, TrioCochain, d_ax,
-                   d_left, d_right, del_x, embed_trio, phi_embed, project_a,
-                   project_b, psi_embed, random_x_cochain, rho_a_star,
-                   semidirect_algebra, trio_differential)
+                    cohomology_slice, derive_seed, key_memo, random_vector)
+from .liealg import (LieAlgebra, OddSym, DualOdd, UgWindow, ce_module_ug,
+                     ce_differential, ce_hom_differential, ce_hom_space,
+                     invariants_basis, pbw_map)
+from .hochschild import (BimoduleOps, TotalSlice, cup, dual_odd_algebra,
+                         gerstenhaber, hoch_d, hoch_partial, identity_cochain,
+                         interior_hh, multiplication_cochain,
+                         differential_cochain, random_cochain, unit_cochain,
+                         ug_algebra, words_of)
+from .trio import (ALinearEnds, BLinearEnds, EndCochain, TrioCochain,
+                   XCochain, d_ax, d_left, d_right, del_x, embed_trio,
+                   phi_embed, project_a, project_b, psi_embed,
+                   random_x_cochain, rho_a_star, semidirect_algebra,
+                   trio_differential)
 from .keller import (AbelianActionCone, AugmentationCone, LieTriple,
                      ModuleCochain, frak_h_vanishing_index,
                      kernel_dimension_match, row_exactness_certificate)
@@ -893,7 +891,10 @@ def suite_homotopy_identity(g: LieAlgebra, trials=100, seed=0, pbw=8,
         return True, None, {"trials": trials}
 
     def check_sign_normalization():
-        ok = sgn(0 * 0 + 0 + 0 * (0 + 1) // 2) == 1
+        unit = GradedVector.basis(ctx.X.space, ((), ()))
+        f = XCochain(ctx.A, ctx.X, ctx.B, 0, 0, 0,
+                     columns={((), ((), ()), ()): unit})
+        ok = ctx.homotopy_component(f).column(()) == ctx.ug.unit()
         return ok, None, None
 
     def check_h_extends_by_zero():
@@ -927,13 +928,7 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
     ctx = D.DufloContext(g, pbw_cap=max(pbw, 6), sym_cap=sym_cap)
     J, Js = D.duflo_series(g, series_order)
     semisimple = g.is_semisimple()
-
-    @functools.cache
-    def get_quadratic():
-        inv = invariants_basis(g, ce_module_sym(ctx.sym), 0)
-        quad = [v for v in inv
-                if v.coeffs and all(len(k) == 2 for k in v.coeffs)]
-        return quad[0] if quad else None
+    b_slice = TotalSlice(ctx.B, ctx.b_ops, 0, g.dimension)
 
     def check_series():
         if not (Js * Js == J):
@@ -947,7 +942,7 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
         return True, None, None
 
     def check_multiplicativity():
-        P = get_quadratic()
+        P = D.quadratic_invariant(g, ctx.sym)
         if P is None:
             return True, None, {"note": "no quadratic invariant; vacuous"}
         q = D.series_contraction(ctx.sym, Js, P)
@@ -965,7 +960,7 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
         return central, None if central else "not central", None
 
     def check_negative_control():
-        P = get_quadratic()
+        P = D.quadratic_invariant(g, ctx.sym)
         if P is None:
             return True, None, {"note": "vacuous"}
         u0 = pbw_map(ctx.sym, ctx.ug, P)
@@ -976,54 +971,11 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
             return lhs != rhs, None, {"witness": repr(lhs - rhs)}
         return True, None, {"note": "control meaningful for semisimple case"}
 
-    @functools.cache
-    def b_complex():
-        """The B-side total complex around total degree 0: the degree-0
-        slice and the differentials into and out of it."""
-        cap = g.dimension
-        here = total_cochain_space(ctx.B, ctx.B.space, 0, cap)
-        below = total_cochain_space(ctx.B, ctx.B.space, -1, cap)
-        above = total_cochain_space(ctx.B, ctx.B.space, 1, cap + 1)
-        return (here, total_differential(ctx.B, ctx.b_ops, below, here),
-                total_differential(ctx.B, ctx.b_ops, here, above))
-
-    @functools.cache
-    def corrected_image():
-        """The corrected invariant t' = J^(1/2) . P and the hkr parts of
-        the polyvector (1, t')."""
-        tprime = D.series_contraction(ctx.sym, Js, get_quadratic())
-        t_vec = GradedVector.zero(ctx.tp.space)
-        for mk, c in tprime.coeffs.items():
-            t_vec.add_term(((), mk), c)
-        return tprime, D.hkr(ctx.tp, ctx.B, t_vec)
-
-    def class_match(parts1, parts2):
-        here, d_in, d_out = b_complex()
-
-        def tototal(parts):
-            out = GradedVector.zero(here)
-            for (p, word, vkey) in here.keys:
-                r = ctx.B.space.degree[vkey] \
-                    - sum(ctx.B.space.degree[k] for k in word)
-                f = parts.get((p, r))
-                if f is None or f.p != p:
-                    continue
-                c = f.value(word).coeff(vkey)
-                if c:
-                    out.add_term((p, word, vkey), c)
-            return out
-
-        v1, v2 = tototal(parts1), tototal(parts2)
-        if d_out(v1) or d_out(v2):
-            return None
-        columns = [d_in.column(k) for k in d_in.source.keys]
-        return solve(columns, v1 - v2) is not None
-
     def check_route_classes():
-        P = get_quadratic()
+        P = D.quadratic_invariant(g, ctx.sym)
         if P is None:
             return True, None, {"note": "vacuous"}
-        tprime, hkr_parts = corrected_image()
+        tprime = D.series_contraction(ctx.sym, Js, P)
         u0 = pbw_map(ctx.sym, ctx.ug, tprime)
         comps, fB = D.lift_central_through_projection(ctx, u0,
                                                       depth=lift_depth)
@@ -1032,7 +984,8 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
         bad = D.lift_residuals(ctx, u0, comps, fB, x_keys)
         if bad:
             return False, bad[0][:3], None
-        got = class_match(fB, hkr_parts)
+        got = b_slice.same_class(
+            fB, D.hkr(ctx.tp, ctx.B, ctx.tp.function(tprime)))
         if got is None:
             return False, "not window cocycles", None
         return got, None, {
@@ -1040,15 +993,16 @@ def suite_duflo_endgame(g: LieAlgebra = None, pbw=6, sym_cap=4,
                     "matches the corrected polyvector image"}
 
     def check_route_negative():
-        P = get_quadratic()
+        P = D.quadratic_invariant(g, ctx.sym)
         if P is None or not semisimple:
-            return True, None, {"note": "control ran on the semisimple case"}
-        _, hkr_parts = corrected_image()
+            why = "no quadratic invariant" if P is None else "not semisimple"
+            return True, None, {"note": "control skipped: %s" % why}
+        hkr_parts = D.hkr(ctx.tp, ctx.B, ctx.tp.function(
+            D.series_contraction(ctx.sym, Js, P)))
         u0p = pbw_map(ctx.sym, ctx.ug, P)
         comps, fBp = D.lift_central_through_projection(ctx, u0p,
                                                        depth=lift_depth)
-        got = class_match(fBp, hkr_parts)
-        return got is False, None, None
+        return b_slice.same_class(fBp, hkr_parts) is False, None, None
 
     def check_h1_dimensions():
         # degree-one cohomology of both routes' targets on the window:

@@ -18,7 +18,12 @@ monomial enumerations and the convolution on Hom(S(g[1]), -) are kept as
 they were before ``coalgebra.SymCoalgebra`` carried them.  The tail chain
 of module-valued cochains is kept lazy, as it was before each level
 remembered its values, and the seeded random vector draws through
-``randint`` as it did before it read the generator's bits itself.
+``randint`` as it did before it read the generator's bits itself.  The
+Duflo endgame's quadratic invariant, B-side total complex, corrected
+polyvector image and class match are kept as the suite wrote them in
+closures before ``hochschild.TotalSlice`` and ``duflo.quadratic_invariant``
+carried them, and the polyvector product with the copy of the S(g) product
+it had before it read ``SymPoly.mul_keys``.
 """
 
 import random
@@ -26,13 +31,17 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from hochduflo.duflo import DufloContext, LinearXCochain, null_homotopy
+from hochduflo.duflo import (DufloContext, LinearXCochain, hkr,
+                             null_homotopy, series_contraction)
 from hochduflo.exact import (ONE, ZERO, BasisSpace, GradedMap, GradedVector,
                              StructuralError, WindowOverflow, bilinear,
-                             derive_seed, kernel_basis, key_memo, rows_rank)
-from hochduflo.hochschild import hoch_d, words_of
+                             derive_seed, kernel_basis, key_memo, rows_rank,
+                             solve)
+from hochduflo.hochschild import (hoch_d, total_cochain_space,
+                                  total_differential, words_of)
 from hochduflo.keller import ModuleCochain
-from hochduflo.liealg import DualOdd, LieAlgebra, OddSym
+from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, ce_module_sym,
+                              invariants_basis)
 from hochduflo.signs import (koszul_sign, sgn, sort_monomial, unshuffle_sign,
                              unshuffles)
 from hochduflo.trio import XDerived, d_ax, d_right, d_xb, del_x
@@ -975,3 +984,70 @@ def lazy_frak_h_sequence(f: ModuleCochain, r: int, k_max: int):
         current = lazy_module_H(hoch_d(current, current.module), current.r)
         out.append((current, current.r))
     return out
+
+
+# -- the polyvector product with its own copy of the S(g) product ----------
+
+def old_polyvector_mul_keys(tp, k1, k2) -> GradedVector:
+    (b1, m1), (b2, m2) = k1, k2
+    out = GradedVector.zero(tp.space)
+    bprod = tp.dual.mul_keys(b1, b2)
+    mprod = tuple(sorted(m1 + m2))
+    if len(mprod) > tp.sym.cap:
+        raise WindowOverflow("polyvector degree exceeds the S(g) window")
+    for bk, c in bprod.items():
+        out.add_term((bk, mprod), c)
+    return out
+
+
+# -- the Duflo endgame's class match, as the suite's closures wrote it -------
+
+def old_get_quadratic(g, ctx):
+    inv = invariants_basis(g, ce_module_sym(ctx.sym), 0)
+    quad = [v for v in inv
+            if v.coeffs and all(len(k) == 2 for k in v.coeffs)]
+    return quad[0] if quad else None
+
+
+def old_b_complex(g, ctx):
+    """The B-side total complex around total degree 0: the degree-0
+    slice and the differentials into and out of it."""
+    cap = g.dimension
+    here = total_cochain_space(ctx.B, ctx.B.space, 0, cap)
+    below = total_cochain_space(ctx.B, ctx.B.space, -1, cap)
+    above = total_cochain_space(ctx.B, ctx.B.space, 1, cap + 1)
+    return (here, total_differential(ctx.B, ctx.b_ops, below, here),
+            total_differential(ctx.B, ctx.b_ops, here, above))
+
+
+def old_corrected_image(ctx, Js, quadratic):
+    """The corrected invariant t' = J^(1/2) . P and the hkr parts of
+    the polyvector (1, t')."""
+    tprime = series_contraction(ctx.sym, Js, quadratic)
+    t_vec = GradedVector.zero(ctx.tp.space)
+    for mk, c in tprime.coeffs.items():
+        t_vec.add_term(((), mk), c)
+    return tprime, hkr(ctx.tp, ctx.B, t_vec)
+
+
+def old_tototal(ctx, here, parts):
+    out = GradedVector.zero(here)
+    for (p, word, vkey) in here.keys:
+        r = ctx.B.space.degree[vkey] \
+            - sum(ctx.B.space.degree[k] for k in word)
+        f = parts.get((p, r))
+        if f is None or f.p != p:
+            continue
+        c = f.value(word).coeff(vkey)
+        if c:
+            out.add_term((p, word, vkey), c)
+    return out
+
+
+def old_class_match(ctx, b_complex, parts1, parts2):
+    here, d_in, d_out = b_complex
+    v1, v2 = old_tototal(ctx, here, parts1), old_tototal(ctx, here, parts2)
+    if d_out(v1) or d_out(v2):
+        return None
+    columns = [d_in.column(k) for k in d_in.source.keys]
+    return solve(columns, v1 - v2) is not None

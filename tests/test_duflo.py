@@ -7,22 +7,24 @@ from fractions import Fraction as Q
 import pytest
 
 from hochduflo import duflo
-from hochduflo.exact import GradedVector, derive_seed
-from hochduflo.hochschild import Cochain, words_of
-from hochduflo.liealg import (LieAlgebra, SymPoly, ce_module_sym,
-                              interior_product, invariants_basis, pbw_map)
+from hochduflo.exact import GradedVector, WindowOverflow, derive_seed
+from hochduflo.hochschild import Cochain, TotalSlice, words_of
+from hochduflo.liealg import LieAlgebra, SymPoly, interior_product, pbw_map
 from hochduflo.series import PolyTrunc, duflo_log_coefficients
 from hochduflo.duflo import (DufloContext, LinearValue, LinearXCochain,
                              PolyVectors, duflo_series, hkr, hkr_cochain,
                              invariance_defects,
                              lift_central_through_projection, lift_residuals,
-                             phi2_tilde, random_pullback_element,
-                             series_contraction, todd_determinant,
-                             trace_ad_powers, atiyah_cocycle)
+                             phi2_tilde, quadratic_invariant,
+                             random_pullback_element, series_contraction,
+                             todd_determinant, trace_ad_powers,
+                             atiyah_cocycle)
 from hochduflo.suites import suite_duflo_maps, suite_homotopy_identity
 from hochduflo.trio import d_right, d_xb, del_x
 
-from oracles import duflo_log_oracle, full_sweep_lift, old_hkr_value
+from oracles import (duflo_log_oracle, full_sweep_lift, old_b_complex,
+                     old_class_match, old_corrected_image, old_get_quadratic,
+                     old_hkr_value, old_polyvector_mul_keys, old_tototal)
 
 
 def test_log_coefficients_against_ode_oracle():
@@ -69,8 +71,7 @@ def test_series_contraction(sl2):
     low = GradedVector.basis(sym.space, (2,))
     assert series_contraction(sym, S, low).is_zero()
     # the corrected Casimir picks up the frozen scalar
-    inv = invariants_basis(sl2, ce_module_sym(sym), 0)
-    P = [v for v in inv if v.coeffs and all(len(k) == 2 for k in v.coeffs)][0]
+    P = quadratic_invariant(sl2, sym)
     _, Js = duflo_series(sl2, 4)
     got = series_contraction(sym, Js, P)
     scalar = got.coeff(())
@@ -127,6 +128,27 @@ def test_hkr_matches_the_per_ordering_evaluator(sl2, monkeypatch):
         for word in words_of(B.space.keys, q):
             want = old_hkr_value(tp, B, t_key, word, Q(3, 2))
             assert cochain.value(word) == GradedVector(B.space, want.coeffs)
+
+
+def test_polyvector_product_reads_the_s_g_product(sl2):
+    """On every pair of T_poly keys the product equals the old one with its
+    own S(g) product, and it refuses exactly where the old one did; the
+    maps built once are shared."""
+    tp = PolyVectors(sl2, 2)
+    refused = 0
+    for k1 in tp.space.keys:
+        for k2 in tp.space.keys:
+            try:
+                want = old_polyvector_mul_keys(tp, k1, k2)
+            except WindowOverflow:
+                with pytest.raises(WindowOverflow):
+                    tp.mul_keys(k1, k2)
+                refused += 1
+                continue
+            assert tp.mul_keys(k1, k2) == want, (k1, k2)
+    assert refused
+    assert tp.hom_space() is tp.hom_space() and tp.phi_t() is tp.phi_t()
+    assert tp.d_t() is tp.d_t()
 
 
 def test_hkr_values_live_in_the_cochain_module(aff1):
@@ -233,8 +255,7 @@ def test_abelian_routes_are_identity(abelian2):
 def test_casimir_multiplicativity(sl2):
     ctx = DufloContext(sl2, pbw_cap=4, sym_cap=4)
     J, Js = duflo_series(sl2, 4)
-    inv = invariants_basis(sl2, ce_module_sym(ctx.sym), 0)
-    P = [v for v in inv if v.coeffs and all(len(k) == 2 for k in v.coeffs)][0]
+    P = quadratic_invariant(sl2, ctx.sym)
     q = series_contraction(ctx.sym, Js, P)
     u = pbw_map(ctx.sym, ctx.ug, q)
     q2 = series_contraction(ctx.sym, Js, ctx.sym.mul(P, P))
@@ -249,8 +270,7 @@ def corrected_casimir(g):
     quadratic invariant."""
     ctx = DufloContext(g, pbw_cap=6, sym_cap=4)
     J, Js = duflo_series(g, 4)
-    inv = invariants_basis(g, ce_module_sym(ctx.sym), 0)
-    P = [v for v in inv if v.coeffs and all(len(k) == 2 for k in v.coeffs)][0]
+    P = quadratic_invariant(g, ctx.sym)
     return ctx, pbw_map(ctx.sym, ctx.ug, series_contraction(ctx.sym, Js, P))
 
 
@@ -271,6 +291,48 @@ def test_lift_and_class_certificate(heis3):
     comps, fB = lift_central_through_projection(ctx, u0, depth=5)
     x_keys = [k for k in ctx.X.space.keys if len(k[0]) + len(k[1]) <= 2]
     assert lift_residuals(ctx, u0, comps, fB, x_keys) == []
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "sl2"])
+def test_total_slice_matches_the_suite_closures(name):
+    """At the endgame's window (PBW 6, S(g) cap 4, lift depth 5) the class
+    test of ``TotalSlice`` gives the slice vectors, key for key, and the
+    answers of the closures the suite used before: f_B has the class of the
+    corrected polyvector image, 2 f_B does not, and a family that is not a
+    cocycle has none."""
+    g = getattr(LieAlgebra, name)()
+    ctx = DufloContext(g, pbw_cap=6, sym_cap=4)
+    _J, Js = duflo_series(g, 4)
+    P = quadratic_invariant(g, ctx.sym)
+    assert P == old_get_quadratic(g, ctx)
+    tprime, old_hkr = old_corrected_image(ctx, Js, P)
+    new_hkr = hkr(ctx.tp, ctx.B, ctx.tp.function(tprime))
+    _comps, fB = lift_central_through_projection(
+        ctx, pbw_map(ctx.sym, ctx.ug, tprime), depth=5)
+    twice = {k: f.derived(f.p, f.r, lambda w, f=f: f.value(w).scale(2), "2f")
+             for k, f in fB.items()}
+    total = TotalSlice(ctx.B, ctx.b_ops, 0, g.dimension)
+    old = old_b_complex(g, ctx)
+    assert total.space.keys == old[0].keys
+    assert total.d_in.source.keys == old[1].source.keys
+    assert total.d_out.target.keys == old[2].target.keys
+    for new_parts, old_parts in ((fB, fB), (twice, twice),
+                                 (new_hkr, old_hkr)):
+        got = total.vector(new_parts)
+        want = old_tototal(ctx, old[0], old_parts)
+        assert got and list(got.coeffs.items()) == list(want.coeffs.items())
+    assert old_class_match(ctx, old, fB, old_hkr) is True
+    assert total.same_class(fB, new_hkr) is True
+    assert old_class_match(ctx, old, twice, old_hkr) is False
+    assert total.same_class(twice, new_hkr) is False
+    # a family that is not a cocycle on the slice has no class, on either side
+    a = ctx.B.space.keys_of_degree(1)[0]
+    loose = {(1, -1): Cochain(ctx.B, ctx.B, 1, -1,
+                              columns={(a,): ctx.B.unit()})}
+    assert total.d_out(total.vector(loose))
+    assert old_class_match(ctx, old, fB, loose) is None
+    assert total.same_class(fB, loose) is None
+    assert total.same_class(loose, fB) is None
 
 
 def test_lift_matches_the_full_sweep(heis3):

@@ -12,8 +12,8 @@ from hochduflo.keller import (AbelianActionCone, AugmentationCone, LieTriple,
                               ModuleCochain, frak_h_sequence,
                               frak_h_vanishing_index, kernel_dimension_match,
                               row_exactness_certificate)
-from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, ce_module_sym,
-                              cocontract, contract, invariants_basis, pbw_map)
+from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, cocontract,
+                              contract, pbw_map)
 from hochduflo.hochschild import (hoch_d, hoch_partial, random_cochain,
                                   ug_algebra)
 from hochduflo.signs import sgn
@@ -21,7 +21,8 @@ from hochduflo.trio import XCochain, rho_a_star
 from hochduflo.suites import TailValues, suite_vanishing
 from hochduflo.duflo import (DufloContext, duflo_series,
                              lift_central_through_projection, lift_residuals,
-                             random_pullback_element, series_contraction)
+                             quadratic_invariant, random_pullback_element,
+                             series_contraction)
 
 from oracles import LazyModuleCochain, lazy_frak_h_sequence
 
@@ -527,9 +528,8 @@ def test_memo_tables_survive_a_lift_and_a_certificate_sweep(heis3):
     equals a fresh uncached one: no caller mutated a shared vector."""
     ctx = DufloContext(heis3, pbw_cap=6, sym_cap=4)
     _J, Js = duflo_series(heis3, 4)
-    inv = invariants_basis(heis3, ce_module_sym(ctx.sym), 0)
-    quad = [v for v in inv if v.coeffs and all(len(k) == 2 for k in v.coeffs)]
-    u0 = pbw_map(ctx.sym, ctx.ug, series_contraction(ctx.sym, Js, quad[0]))
+    quad = quadratic_invariant(heis3, ctx.sym)
+    u0 = pbw_map(ctx.sym, ctx.ug, series_contraction(ctx.sym, Js, quad))
     comps, fB = lift_central_through_projection(ctx, u0, depth=5,
                                                 max_extra=1)
     x_keys = [k for k in ctx.X.space.keys if len(k[0]) + len(k[1]) <= 2]

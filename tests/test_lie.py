@@ -15,6 +15,7 @@ from hochduflo.liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
                               cocontract, contract, interior_product,
                               invariants_basis, pair_dual_vec,
                               pair_vec_dual, pbw_map)
+from hochduflo.duflo import quadratic_invariant
 
 from oracles import (old_cocontract, old_contract, old_dual_differential,
                      old_interior_product, old_pair_dual_vec,
@@ -222,9 +223,7 @@ def test_ce_module_differential(sl2, abelian2):
     sym = SymPoly(sl2, 3)
     mod = ce_module_sym(sym)
     odd = OddSym(sl2)
-    inv = invariants_basis(sl2, mod, 0)
-    casimir = [v for v in inv
-               if v.coeffs and all(len(k) == 2 for k in v.coeffs)][0]
+    casimir = quadratic_invariant(sl2, sym)
     const = GradedMap(odd.space, sym.space, 0)
     const.set_column((), casimir, check=False)
     d_const = ce_differential(odd, mod, const)
@@ -277,9 +276,9 @@ def test_invariants(sl2, abelian2):
     assert len(inv) == symA.space.dim          # everything is invariant
     sym = SymPoly(sl2, 3)
     inv2 = invariants_basis(sl2, ce_module_sym(sym), 0)
-    quad = [v for v in inv2
-            if v.coeffs and all(len(k) == 2 for k in v.coeffs)]
-    assert len(quad) == 1
+    # the unit and the one quadratic invariant, the Casimir
+    assert inv2 == [GradedVector.basis(sym.space, ()),
+                    quadratic_invariant(sl2, sym)]
     ug = UgWindow(sl2, 2)
     centre = invariants_basis(sl2, ce_module_ug(ug), 0)
     assert len(centre) == 2                    # the unit and the Casimir
