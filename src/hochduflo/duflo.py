@@ -22,7 +22,7 @@ from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     key_memo, random_vector)
 from .series import PolyTrunc, duflo_log_coefficients, matrix_series_det
 from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, SymPoly,
-                     interior_product, pair_dual_vec, pbw_map, ce_differential,
+                     pair_dual_vec, pbw_map, ce_differential,
                      ce_hom_differential, ce_hom_space, ce_module_sym,
                      ce_module_ug, coadjoint_action_poly, invariants_basis)
 from .hochschild import (Cochain, Derived, DgAlgebra, BimoduleOps, add_cochain,
@@ -270,6 +270,8 @@ def hkr_cochain(tp: PolyVectors, B: DgAlgebra, t_key, coeff=ONE) -> Cochain:
 
     base = GradedVector.basis(tp.dual.space, bkey, coeff)
     scale = Q(1, factorial(q))
+    letters = [(x,) for x in mkey]
+    interior_key = tp.dual.interior_key
 
     def fn(word):
         out = GradedVector.zero(B.space)
@@ -277,9 +279,7 @@ def hkr_cochain(tp: PolyVectors, B: DgAlgebra, t_key, coeff=ONE) -> Cochain:
         # zeros makes every ordering vanish
         iota = []
         for b in word:
-            row = [interior_product(tp.dual, tp.odd, (x,),
-                                    GradedVector.basis(tp.dual.space, b))
-                   for x in mkey]
+            row = [interior_key(x, b) for x in letters]
             if not any(row):
                 return out
             iota.append(row)

@@ -55,20 +55,22 @@ class LieTriple:
 
     # -- bimodule structure -------------------------------------------------
 
+    # Each action changes one tensor factor.  Every (k, x) and (u, k) built
+    # below is a key of x_space, so the vectors are filled in one step; a
+    # product leaving the PBW window raises inside ``ug.mul_keys``.
+
     def _lmul_key(self, a_key, x_key) -> GradedVector:
         u, x = x_key
-        out = GradedVector.zero(self.x_space)
-        for k, c in self.ug.mul_keys(a_key, u).items():
-            out.add_term((k, x), c)
+        out = GradedVector(self.x_space)
+        out.coeffs = {(k, x): c
+                      for k, c in self.ug.mul_keys(a_key, u).coeffs.items()}
         return out
 
     def _rmul_key(self, x_key, b_key) -> GradedVector:
         u, x = x_key
-        out = GradedVector.zero(self.x_space)
-        contracted = contract(self.odd,
-                              GradedVector.basis(self.odd.space, x), b_key)
-        for k, c in contracted.items():
-            out.add_term((u, k), c)
+        out = GradedVector(self.x_space)
+        out.coeffs = {(u, k): c for k, c in
+                      self.odd.contract_key(x, b_key).coeffs.items()}
         return out
 
     @key_memo

@@ -284,6 +284,13 @@ class OddSym(SymCoalgebra):
     def coderivation_bracket(self) -> GradedMap:
         return self.coderivation_from({2: self._q2})
 
+    @key_memo
+    def contract_key(self, odd_key, dual_key) -> GradedVector:
+        """``contract`` of one monomial by one dual monomial.  Memoized per
+        window: the result is shared and read-only."""
+        return contract(self, GradedVector.basis(self.space, odd_key),
+                        dual_key)
+
 
 class DualOdd:
     """S(g[1])^ with monomial keys stored in strictly decreasing order.
@@ -316,6 +323,22 @@ class DualOdd:
 
     def mul(self, v, w):
         return bilinear(self.mul_keys, self.space, v, w)
+
+    @key_memo
+    def interior_key(self, s_key, dual_key) -> GradedVector:
+        """iota_x(f) = (-1)^{|x||f|} f(x . -) for the dual monomial f and
+        the S(g[1]) monomial x (a letter tuple).
+
+        Characterized by <iota_x f, y> = (-1)^{|x||f|} <f, x . y>: f loses
+        the letters of x, and what remains is the dual partner of y.
+        Memoized per window: the result is shared and read-only.
+        """
+        stripped = _strip(dual_key, s_key, 1)
+        if stripped is None:
+            return GradedVector.zero(self.space)
+        rest, sign = stripped
+        return GradedVector.basis(self.space, rest,
+                                  sgn(len(s_key) * len(dual_key)) * sign)
 
     def dual_key_of(self, s_key):
         """Key of the dual monomial of an S(g[1]) basis monomial."""
@@ -402,22 +425,6 @@ def contract(odd: OddSym, v: GradedVector, dual_key) -> GradedVector:
 def cocontract(dual: DualOdd, v: GradedVector, s_key) -> GradedVector:
     """Right action of an S(g[1]) monomial on the dual, factorwise."""
     return _strip_terms(dual.space, v, s_key, 1)
-
-
-def interior_product(dual: DualOdd, odd: OddSym, s_key, f: GradedVector) -> GradedVector:
-    """iota_x(f) = (-1)^{|x||f|} f(x . -) for f in S(g[1])^, x an S-monomial.
-
-    Characterized by <iota_x f, y> = (-1)^{|x||f|} <f, x . y>: each
-    monomial of f loses the letters of x, and what remains is the dual
-    partner of y.
-    """
-    k = len(tuple(s_key))
-    out = GradedVector.zero(dual.space)
-    for fkey, c in f.coeffs.items():
-        stripped = _strip(fkey, s_key, 1)
-        if stripped is not None:
-            out.add_term(stripped[0], sgn(k * len(fkey)) * c * stripped[1])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ Duflo endgame's quadratic invariant, B-side total complex, corrected
 polyvector image and class match are kept as the suite wrote them in
 closures before ``hochschild.TotalSlice`` and ``duflo.quadratic_invariant``
 carried them, and the polyvector product with the copy of the S(g) product
-it had before it read ``SymPoly.mul_keys``.
+it had before it read ``SymPoly.mul_keys``.  The two actions of the Koszul
+bimodule are kept as they were before they read the window tables
+(``UgWindow.mul_keys`` and ``OddSym.contract_key``) into one dict: one
+``add_term`` per key, and a fresh contraction on every call.
 """
 
 import random
@@ -41,7 +44,7 @@ from hochduflo.hochschild import (hoch_d, total_cochain_space,
                                   total_differential, words_of)
 from hochduflo.keller import ModuleCochain
 from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, ce_module_sym,
-                              invariants_basis)
+                              contract, invariants_basis)
 from hochduflo.signs import (koszul_sign, sgn, sort_monomial, unshuffle_sign,
                              unshuffles)
 from hochduflo.trio import XDerived, d_ax, d_right, d_xb, del_x
@@ -753,6 +756,28 @@ def old_interior_product(dual: DualOdd, odd: OddSym, s_key,
                 val += pc * old_pair_dual_vec(fkey, pkey)
             if val:
                 out.add_term(dual.dual_key_of(ykeys), sign * c * val)
+    return out
+
+
+def old_lmul_key(triple, a_key, x_key) -> GradedVector:
+    """The left action of the Koszul bimodule before it read its product
+    into one dict."""
+    u, x = x_key
+    out = GradedVector.zero(triple.x_space)
+    for k, c in triple.ug.mul_keys(a_key, u).items():
+        out.add_term((k, x), c)
+    return out
+
+
+def old_rmul_key(triple, x_key, b_key) -> GradedVector:
+    """The right action of the Koszul bimodule before it read
+    ``OddSym.contract_key``: a fresh contraction on every call."""
+    u, x = x_key
+    out = GradedVector.zero(triple.x_space)
+    contracted = contract(triple.odd,
+                          GradedVector.basis(triple.odd.space, x), b_key)
+    for k, c in contracted.items():
+        out.add_term((u, k), c)
     return out
 
 

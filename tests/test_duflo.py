@@ -9,7 +9,7 @@ import pytest
 from hochduflo import duflo
 from hochduflo.exact import GradedVector, WindowOverflow, derive_seed
 from hochduflo.hochschild import Cochain, TotalSlice, words_of
-from hochduflo.liealg import LieAlgebra, SymPoly, interior_product, pbw_map
+from hochduflo.liealg import LieAlgebra, SymPoly, pbw_map
 from hochduflo.series import PolyTrunc, duflo_log_coefficients
 from hochduflo.duflo import (DufloContext, LinearValue, LinearXCochain,
                              PolyVectors, duflo_series, hkr, hkr_cochain,
@@ -97,8 +97,7 @@ def test_hkr_values(aff1):
     c1 = hkr_cochain(tp, B, ((), (0,)))
     for b in tp.dual.space.keys:
         got = c1.value((b,))
-        want = interior_product(tp.dual, tp.odd, (0,),
-                                GradedVector.basis(tp.dual.space, b))
+        want = tp.dual.interior_key((0,), b)
         assert got == GradedVector(B.space, want.coeffs)
 
 
@@ -175,8 +174,7 @@ def test_interior_product_characterization(sl2):
     for _ in range(60):
         x = rng.choice(odd.space.keys)
         f = rng.choice(dual.space.keys)
-        iv = interior_product(dual, odd, x,
-                              GradedVector.basis(dual.space, f))
+        iv = dual.interior_key(x, f)
         for y in odd.space.keys:
             lhs = sum((c * pair_dual_vec(k, y) for k, c in iv.items()), Q(0))
             prod = odd.mul_keys(x, y)

@@ -1,5 +1,6 @@
 """The concrete triple: differential, actions, homotopies, vanishing."""
 
+import inspect
 import random
 from fractions import Fraction as Q
 from itertools import product
@@ -15,16 +16,17 @@ from hochduflo.keller import (AbelianActionCone, AugmentationCone, LieTriple,
 from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, cocontract,
                               contract, pbw_map)
 from hochduflo.hochschild import (hoch_d, hoch_partial, random_cochain,
-                                  ug_algebra)
+                                  ug_algebra, words_of)
 from hochduflo.signs import sgn
 from hochduflo.trio import XCochain, rho_a_star
 from hochduflo.suites import TailValues, suite_vanishing
-from hochduflo.duflo import (DufloContext, duflo_series,
+from hochduflo.duflo import (DufloContext, duflo_series, hkr,
                              lift_central_through_projection, lift_residuals,
                              quadratic_invariant, random_pullback_element,
                              series_contraction)
 
-from oracles import LazyModuleCochain, lazy_frak_h_sequence
+from oracles import (LazyModuleCochain, lazy_frak_h_sequence, old_lmul_key,
+                     old_rmul_key)
 
 
 def test_build_triple_rejects_bad_jacobi():
@@ -49,6 +51,31 @@ def test_differential_values(abelian1, aff1, sl2):
     for key in t3.x_space.keys:
         if len(key[0]) + len(key[1]) <= 3:
             assert t3.X.d_vec(t3.X.d_key(key)).is_zero()
+
+
+@pytest.mark.parametrize("name", ["aff1", "sl2", "so3", "heisenberg3"])
+def test_action_keys_match_the_add_term_oracles(name):
+    """Both actions of X equal their one-``add_term``-per-key versions on
+    every key pair of a PBW cap 3 window, and the left action refuses
+    exactly where the old one did."""
+    triple = LieTriple(getattr(LieAlgebra, name)(), 3)
+    refused = 0
+    for x_key in triple.x_space.keys:
+        for a_key in triple.ug.space.keys:
+            try:
+                want = old_lmul_key(triple, a_key, x_key)
+            except WindowOverflow:
+                with pytest.raises(WindowOverflow):
+                    triple._lmul_key(a_key, x_key)
+                refused += 1
+                continue
+            got = triple._lmul_key(a_key, x_key)
+            assert list(got.items()) == list(want.items()), (a_key, x_key)
+        for b_key in triple.dual.space.keys:
+            got = triple._rmul_key(x_key, b_key)
+            want = old_rmul_key(triple, x_key, b_key)
+            assert list(got.items()) == list(want.items()), (x_key, b_key)
+    assert refused
 
 
 def test_action_maps(sl2):
@@ -474,15 +501,30 @@ def test_tail_memo_survives_a_second_sweep():
 
 # -- the key-level memo tables ----------------------------------------------
 
+# the tables the two tests below must at least find
+WINDOW_TABLES = {"LieTriple._d_x_key", "DualOdd.mul_keys",
+                 "DualOdd.interior_key", "OddSym.coderivation_bracket_key",
+                 "OddSym.contract_key"}
+
+
 def memo_args(obj):
-    """(method, argument tuples) of every window map of ``obj`` whose
-    memoized value can be checked against ``__wrapped__``."""
-    if isinstance(obj, LieTriple):
-        return LieTriple._d_x_key, [(k,) for k in obj.x_space.keys]
-    if isinstance(obj, DualOdd):
-        keys = obj.space.keys
-        return DualOdd.mul_keys, [(k1, k2) for k1 in keys for k2 in keys]
-    return OddSym.coderivation_bracket_key, [(k,) for k in obj.space.keys]
+    """(method, argument tuples) of every ``key_memo`` map of ``obj``'s
+    class, found through ``__wrapped__``.  Each parameter name reads its key
+    range below; a table with a parameter the range does not name fails
+    here, so no table is left out."""
+    g = obj.g
+    own = obj.x_space.keys if isinstance(obj, LieTriple) else obj.space.keys
+    odd_keys, dual_keys = OddSym(g).space.keys, DualOdd(g).space.keys
+    ranges = {"key": own, "x_key": own, "k1": own, "k2": own,
+              "odd_key": odd_keys, "s_key": odd_keys, "dual_key": dual_keys}
+    out = []
+    for cls in type(obj).__mro__:
+        for method in vars(cls).values():
+            if not hasattr(method, "__wrapped__"):
+                continue
+            names = list(inspect.signature(method).parameters)[1:]
+            out.append((method, list(product(*(ranges[n] for n in names)))))
+    return out
 
 
 def memo_table(obj, method):
@@ -505,26 +547,30 @@ def test_memoized_maps_match_uncached(name):
     without ever being stored."""
     triple = LieTriple(getattr(LieAlgebra, name)(), 3)
     refused = 0
+    tables = set()
     for obj in (triple, triple.dual, triple.odd):
-        method, arg_list = memo_args(obj)
-        for args in arg_list:
-            want = uncached(method, obj, args)
-            if want is WindowOverflow:
-                refused += 1
-                for _ in range(2):
-                    with pytest.raises(WindowOverflow):
-                        method(obj, *args)
-                assert args not in memo_table(obj, method)
-                continue
-            got = method(obj, *args)
-            assert got == want, (method.__name__, args)
-            assert method(obj, *args) is got
+        for method, arg_list in memo_args(obj):
+            tables.add(method.__qualname__)
+            for args in arg_list:
+                want = uncached(method, obj, args)
+                if want is WindowOverflow:
+                    refused += 1
+                    for _ in range(2):
+                        with pytest.raises(WindowOverflow):
+                            method(obj, *args)
+                    assert args not in memo_table(obj, method)
+                    continue
+                got = method(obj, *args)
+                assert got == want, (method.__name__, args)
+                assert method(obj, *args) is got
     assert refused      # the keys of top PBW length with an odd factor
+    assert WINDOW_TABLES <= tables
 
 
 def test_memo_tables_survive_a_lift_and_a_certificate_sweep(heis3):
     """After an endgame-shaped lift, its residual sweep, a pullback
-    homotopy identity and a row certificate, every stored value still
+    homotopy identity, a row certificate and the hkr cochains of a
+    polyvector, every table holds values and every stored value still
     equals a fresh uncached one: no caller mutated a shared vector."""
     ctx = DufloContext(heis3, pbw_cap=6, sym_cap=4)
     _J, Js = duflo_series(heis3, 4)
@@ -538,12 +584,18 @@ def test_memo_tables_survive_a_lift_and_a_certificate_sweep(heis3):
     assert ctx.homotopy_identity_residual(e, 2).is_zero()
     assert row_exactness_certificate(ctx.triple, "R", 1, 1, 0, seed=4,
                                      n_inputs=20) == []
-    checked = 0
+    t = GradedVector(ctx.tp.space, {k: 1 for k in ctx.tp.space.keys
+                                    if 1 <= len(k[1]) <= 2})
+    for f in hkr(ctx.tp, ctx.B, t).values():
+        for word in words_of(ctx.B.space.keys, f.p):
+            f.value(word)
+    filled = set()
     for obj in (ctx.triple, ctx.dual, ctx.odd, ctx.tp.dual):
-        method, _ = memo_args(obj)
-        table = memo_table(obj, method)
-        for args, got in table.items():
-            assert got == method.__wrapped__(obj, *args), (
-                method.__name__, args)
-        checked += len(table)
-    assert checked
+        for method, _ in memo_args(obj):
+            table = memo_table(obj, method)
+            for args, got in table.items():
+                assert got == method.__wrapped__(obj, *args), (
+                    method.__name__, args)
+            if table:
+                filled.add(method.__qualname__)
+    assert WINDOW_TABLES <= filled

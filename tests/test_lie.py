@@ -12,8 +12,7 @@ from hochduflo.exact import (GradedMap, GradedVector, WindowOverflow,
 from hochduflo.liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
                               adjoint_action_ug, ce_differential,
                               ce_module_sym, ce_module_trivial, ce_module_ug,
-                              cocontract, contract, interior_product,
-                              invariants_basis, pair_dual_vec,
+                              cocontract, contract, invariants_basis, pair_dual_vec,
                               pair_vec_dual, pbw_map)
 from hochduflo.duflo import quadratic_invariant
 
@@ -90,10 +89,11 @@ def test_pairings(aff1):
 
 
 def test_letter_removal_matches_the_stepwise_oracles():
-    """contract, cocontract and interior_product against the stepwise
-    contractions and the subset enumeration: same coefficients, same key
-    order, on every basis pair of abelian d = 1..5 and on the sum of all
-    basis vectors with distinct coefficients; interior_product also on
+    """contract, cocontract and the window tables ``OddSym.contract_key``
+    and ``DualOdd.interior_key`` against the stepwise contractions and the
+    subset enumeration: same coefficients, same key order, on every basis
+    pair of abelian d = 1..5; the two contractions also on the sum of all
+    basis vectors with distinct coefficients, and the interior product on
     every letter tuple up to length 3, unsorted and repeated."""
     def same(got, want):
         assert list(got.items()) == list(want.items())
@@ -110,19 +110,21 @@ def test_letter_removal_matches_the_stepwise_oracles():
             for b_key in dual.space.keys:
                 f = GradedVector.basis(dual.space, b_key)
                 same(contract(odd, x, b_key), old_contract(odd, x, b_key))
+                same(odd.contract_key(x_key, b_key),
+                     old_contract(odd, x, b_key))
                 same(cocontract(dual, f, x_key),
                      old_cocontract(dual, f, x_key))
         for b_key in dual.space.keys:
             same(contract(odd, odd_all, b_key),
                  old_contract(odd, odd_all, b_key))
-        fs = [GradedVector.basis(dual.space, k) for k in dual.space.keys]
         for x_key in odd.space.keys:
             same(cocontract(dual, dual_all, x_key),
                  old_cocontract(dual, dual_all, x_key))
         letters = [w for n in range(4) for w in product(range(d), repeat=n)]
         for s_key in letters + [k for k in odd.space.keys if len(k) > 3]:
-            for f in fs + [dual_all]:
-                same(interior_product(dual, odd, s_key, f),
+            for b_key in dual.space.keys:
+                f = GradedVector.basis(dual.space, b_key)
+                same(dual.interior_key(s_key, b_key),
                      old_interior_product(dual, odd, s_key, f))
 
 

@@ -1,5 +1,6 @@
 """The benchmark tooling: ``tools/bench_pairs.py`` keeps a trace of
-refused runs, and every workload's set-up probe runs."""
+refused runs, every workload's set-up probe runs, and the short workloads'
+traced runs reach every layer they expect."""
 
 import importlib.util
 import subprocess
@@ -54,3 +55,18 @@ def test_setup_probe_exits_zero(workload):
          "--seed", "1", "--setup-probe"],
         cwd=ROOT, capture_output=True, text=True, check=False, timeout=300)
     assert probe.returncode == 0, probe.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["endgame", "elimination"])
+def test_traced_run_exits_zero(workload):
+    """``perfbench/run.py --trace 1`` exits 2 when a traced pass records no
+    call of an entry point the workload expects, for example a table that
+    stops calling ``liealg.contract``.  One traced run of each short
+    workload is not refused.  The speed gauge, the other refusal, runs only
+    untraced, and ``certificates`` is left out: its traced run takes
+    several seconds."""
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, check=False, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
