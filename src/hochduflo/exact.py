@@ -322,9 +322,12 @@ class GradedMap:
 
     def _check_covered(self, key):
         if self.covered is not None and key not in self.covered:
-            raise WindowOverflow("key %r outside the covered region of a map "
-                                 "%s -> %s" % (key, self.source.name,
-                                               self.target.name))
+            raise self._uncovered(key)
+
+    def _uncovered(self, key):
+        return WindowOverflow("key %r outside the covered region of a map "
+                              "%s -> %s" % (key, self.source.name,
+                                            self.target.name))
 
     def set_column(self, key, vec: GradedVector, check: bool = True):
         if key not in self.source.degree:
@@ -441,23 +444,108 @@ class GradedMap:
             self.source.name, self.target.name, self.shift, len(self.columns))
 
 
-def guarded_map(source, target, shift, col_fn, keys=None) -> GradedMap:
-    """The map whose column at each key is ``col_fn(key)``, on ``keys``.
+class LazyMap(GradedMap):
+    """The map whose column at each source key is ``col_fn(key)``, computed
+    when the key is first read (built by :func:`guarded_map`).
 
-    ``keys`` defaults to every source key.  A key whose column raises
-    WindowOverflow is not stored and not covered, so reading it later
-    raises again instead of returning zero.  The coverage is None only when
-    ``keys`` is the default and no column left the window.
+    A computed column is stored and handed out shared and read-only.  A key
+    whose ``col_fn`` raises WindowOverflow is remembered as refused and
+    raises again on every read; it is never stored as zero.  ``columns``
+    and ``covered``, and with them every whole-map reader of
+    :class:`GradedMap` (sums, scalings, compositions, equality), first try
+    every key not read yet, once.  Columns are never set from outside.
     """
-    columns = {}
-    for key in source.keys if keys is None else keys:
+
+    __slots__ = ("_col_fn", "_read", "_refused")
+
+    def __init__(self, source, target, shift, col_fn):
+        self.source = source
+        self.target = target
+        self.shift = shift
+        self._col_fn = col_fn
+        self._read = {}
+        self._refused = set()
+
+    def column(self, key) -> GradedVector:
         try:
-            columns[key] = col_fn(key)
-        except WindowOverflow:
+            return self._read[key]
+        except KeyError:
             pass
-    full = keys is None and len(columns) == len(source.keys)
-    return GradedMap(source, target, shift, columns, check=False,
-                     covered=None if full else columns)
+        if key in self._refused:
+            raise self._uncovered(key)
+        if key not in self.source.degree:
+            raise WindowOverflow("key %r outside window %s"
+                                 % (key, self.source.name))
+        try:
+            col = self._col_fn(key)
+        except WindowOverflow:
+            self._refused.add(key)
+            raise
+        if col.space is not self.target:
+            raise StructuralError("column lives in %s, expected %s"
+                                  % (col.space.name, self.target.name))
+        self._read[key] = col
+        return col
+
+    def __call__(self, v):
+        if isinstance(v, GradedVector):
+            if v.space is not self.source:
+                raise StructuralError("argument lives in %s, expected %s"
+                                      % (v.space.name, self.source.name))
+            out = GradedVector.zero(self.target)
+            for key, c in v.coeffs.items():
+                out.add_inplace(self.column(key), c)
+            return out
+        return self.column(v)
+
+    def _materialize(self):
+        """Read every key once; store the non-zero columns, in source order,
+        and the coverage (None when no key was refused).  ``col_fn`` is not
+        called again, so it is dropped with the operands it holds."""
+        if self._col_fn is None:
+            return
+        read = self._read
+        columns = {}
+        for key in self.source.keys:
+            if key not in read and key not in self._refused:
+                try:
+                    self.column(key)
+                except WindowOverflow:
+                    continue
+            col = read.get(key)
+            if col:
+                columns[key] = col
+        _COLUMNS.__set__(self, columns)
+        _COVERED.__set__(self, frozenset(read) if self._refused else None)
+        self._col_fn = None
+
+    @property
+    def columns(self):
+        self._materialize()
+        return _COLUMNS.__get__(self)
+
+    @property
+    def covered(self):
+        self._materialize()
+        return _COVERED.__get__(self)
+
+    def set_column(self, key, vec, check=True):
+        raise StructuralError("the columns of a lazy map are computed, "
+                              "not set")
+
+
+# the storage slots a LazyMap fills once it has read every key
+_COLUMNS, _COVERED = GradedMap.columns, GradedMap.covered
+
+
+def guarded_map(source, target, shift, col_fn) -> LazyMap:
+    """The map whose column at each source key is ``col_fn(key)``.
+
+    Each column is computed when first read.  A key whose column raises
+    WindowOverflow is not covered: reading it raises again, instead of
+    returning zero.  The coverage is None when no column leaves the window.
+    """
+    return LazyMap(source, target, shift, col_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -701,25 +789,42 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def random_coefficients(space: BasisSpace, degree: int, seed: int,
+                        n: int) -> list:
+    """The first ``n`` coefficients :func:`random_vector` draws on a slice.
+
+    Each is ``rng.randint(-3, 3)``: a 3-bit word, redrawn while it is 7,
+    minus 3.  ``getrandbits(3)`` is the top 3 bits of one 32-bit output of
+    the generator, and ``getrandbits(32 * m)`` is m outputs as little-endian
+    4-byte words, so the words are read in bulk, from the top byte of each,
+    and more are drawn while rejections leave the list short.
+    """
+    bits = random.Random(
+        derive_seed("random_vector", space.name, degree, seed)).getrandbits
+    out = []
+    while len(out) < n:
+        m = n - len(out)
+        out += [_DRAW[b] for b in bits(32 * m).to_bytes(4 * m, "little")[3::4]
+                if b < 224]
+    return out
+
+
+# randint(-3, 3) of the top byte b of a 32-bit output, for b >> 5 below 7
+_DRAW = [(b >> 5) - 3 for b in range(224)]
+
+
 def random_vector(space: BasisSpace, degree: int, seed: int) -> GradedVector:
     """Deterministic pseudo-random vector on a degree slice.
 
-    Coefficients are integers in [-3, 3]; the result is a pure function of
-    ``(space.name, degree, seed)``.  An empty slice gives the zero vector.
-    Each coefficient is ``rng.randint(-3, 3)``, drawn by the same rejection
-    loop on 3-bit words that ``randint`` runs, without its call overhead.
+    Coefficients are integers in [-3, 3], drawn by ``rng.randint(-3, 3)``
+    in key order (see :func:`random_coefficients`); the result is a pure
+    function of ``(space.name, degree, seed)``.  An empty slice gives the
+    zero vector.
     """
     keys = space.keys_of_degree(degree)
     v = GradedVector.zero(space)
     if not keys:
         return v
-    bits = random.Random(
-        derive_seed("random_vector", space.name, degree, seed)).getrandbits
-    coeffs = v.coeffs
-    for key in keys:
-        c = bits(3)
-        while c >= 7:
-            c = bits(3)
-        if c != 3:
-            coeffs[key] = c - 3
+    v.coeffs = {key: c for key, c in zip(
+        keys, random_coefficients(space, degree, seed, len(keys))) if c}
     return v

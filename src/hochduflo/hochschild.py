@@ -17,7 +17,7 @@ from itertools import product
 from .signs import sgn
 from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
                     bilinear, cohomology_slice, derive_seed, key_memo,
-                    random_vector, solve)
+                    random_coefficients, solve)
 
 
 class TruncationWindow:
@@ -153,25 +153,37 @@ class WordCochain:
                          + self.algebra.word_degree(after))
 
 
-def seeded_value(space, r, value_keys, pieces, seed_parts) -> GradedVector:
+def seeded_value(space, r, kept, pieces, seed_parts) -> GradedVector:
     """The value of a seeded cochain on one word: a deterministic slice.
 
     ``pieces`` holds (letter window or None, letter space, letters) for each
     piece of the word; a letter outside its window gives zero.  Otherwise
-    the value is the random vector of degree r + (word degree) seeded by
-    ``derive_seed(*seed_parts)``, cut to ``value_keys`` when they are given.
-    ``Cochain`` and ``trio.XCochain`` memoize it per instance and word, so
-    each slice is drawn once and then handed out shared and read-only.
+    the value is the random vector of degree d = r + (word degree) seeded by
+    ``derive_seed(*seed_parts)``, on the keys of ``kept(d)`` only: the
+    (position, key) pairs of :func:`kept_keys`.  Coefficients are drawn up
+    to the last kept position, so each kept key gets the coefficient the
+    whole slice would give it.  ``Cochain`` and ``trio.XCochain`` memoize
+    ``kept`` and the value per instance, so each slice is drawn once and
+    then handed out shared and read-only.
     """
     for letters, _, word in pieces:
         if letters is not None and any(k not in letters for k in word):
             return GradedVector.zero(space)
     deg = r + sum(sp.degree[k] for _, sp, word in pieces for k in word)
-    vec = random_vector(space, deg, derive_seed(*seed_parts))
-    if value_keys is not None:
-        vec = GradedVector(space, {k: c for k, c in vec.coeffs.items()
-                                   if k in value_keys})
+    vec = GradedVector.zero(space)
+    keys = kept(deg)
+    if keys:
+        coeffs = random_coefficients(space, deg, derive_seed(*seed_parts),
+                                     keys[-1][0] + 1)
+        vec.coeffs = {key: coeffs[i] for i, key in keys if coeffs[i]}
     return vec
+
+
+def kept_keys(space, deg, value_keys):
+    """The (position, key) pairs of the keys of the degree-``deg`` slice of
+    ``space`` that lie in ``value_keys`` (all of them when it is None)."""
+    return tuple((i, key) for i, key in enumerate(space.keys_of_degree(deg))
+                 if value_keys is None or key in value_keys)
 
 
 class Cochain(WordCochain):
@@ -214,9 +226,13 @@ class Cochain(WordCochain):
     @key_memo
     def _seeded(self, word) -> GradedVector:
         """The seeded value on ``word``, drawn once per cochain."""
-        return seeded_value(self.module.space, self.r, self.value_keys,
+        return seeded_value(self.module.space, self.r, self._kept,
                             ((self.letters, self.algebra.space, word),),
                             (self.label, self.seed, word))
+
+    @key_memo
+    def _kept(self, deg):
+        return kept_keys(self.module.space, deg, self.value_keys)
 
     def derived(self, p, r, fn, label) -> "Derived":
         return Derived(self.algebra, self.module, p, r, fn, label=label)

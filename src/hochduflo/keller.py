@@ -576,8 +576,7 @@ class AbelianActionCone:
         t = GradedVector.basis(self.val.space, (0,))
         return guarded_map(
             self.dom.space, self.val.space, 0,
-            lambda u: self.val.mul(g.column(u), t) - g.column(u + (0,)),
-            keys=g.covered)
+            lambda u: self.val.mul(g.column(u), t) - g.column(u + (0,)))
 
     def d(self, m):
         v, g0, g1 = m
@@ -612,8 +611,7 @@ class AbelianActionCone:
 
         def act(g):
             return guarded_map(self.dom.space, self.val.space, 0,
-                               lambda u: self.val.mul(a, g.column(u)),
-                               keys=g.covered)
+                               lambda u: self.val.mul(a, g.column(u)))
 
         return (self.val.mul(a, v), act(g0), act(g1))
 
@@ -623,8 +621,7 @@ class AbelianActionCone:
 
         def act(g):
             return guarded_map(self.dom.space, self.val.space, 0,
-                               lambda u: g.column(tuple(sorted(a_key + u))),
-                               keys=g.covered)
+                               lambda u: g.column(tuple(sorted(a_key + u))))
 
         return (self.val.mul(v, a), act(g0), act(g1))
 

@@ -14,7 +14,7 @@ from .signs import sgn
 from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
                     guarded_map, key_memo)
 from .hochschild import (Cochain, DgAlgebra, WordCochain, add_cochain,
-                         hoch_d, hoch_partial, seeded_value)
+                         hoch_d, hoch_partial, kept_keys, seeded_value)
 
 
 class Bimodule:
@@ -149,11 +149,15 @@ class XCochain:
         """The seeded value on the word (aw, xk, bw), drawn once per
         cochain."""
         return seeded_value(
-            self.X.space, self.r, self.value_keys,
+            self.X.space, self.r, self._kept,
             ((self.a_letters, self.A.space, aw),
              (self.x_letters, self.X.space, (xk,)),
              (self.b_letters, self.B.space, bw)),
             (self.label, self.seed, aw, xk, bw))
+
+    @key_memo
+    def _kept(self, deg):
+        return kept_keys(self.X.space, deg, self.value_keys)
 
     def value_with_slot(self, before, vec: GradedVector,
                         after) -> GradedVector:
@@ -501,7 +505,7 @@ class BLinearEnds(EndMaps):
         X = self.X
         return guarded_map(
             X.space, X.space, phi.shift + self.A.space.degree[a_key],
-            lambda k: X.lmul(a_key, phi.column(k)), keys=phi.covered)
+            lambda k: X.lmul(a_key, phi.column(k)))
 
     def rmul(self, phi: GradedMap, a_key) -> GradedMap:
         X = self.X
@@ -536,8 +540,7 @@ class ALinearEnds(EndMaps):
         return guarded_map(
             X.space, X.space, phi.shift + bdeg,
             lambda k: X.rmul(phi.column(k), b_key).scale(
-                sgn(bdeg * X.space.degree[k])),
-            keys=phi.covered)
+                sgn(bdeg * X.space.degree[k])))
 
 
 def phi_embed(f: EndCochain, B: DgAlgebra) -> XCochain:

@@ -18,7 +18,11 @@ monomial enumerations and the convolution on Hom(S(g[1]), -) are kept as
 they were before ``coalgebra.SymCoalgebra`` carried them.  The tail chain
 of module-valued cochains is kept lazy, as it was before each level
 remembered its values, and the seeded random vector draws through
-``randint`` as it did before it read the generator's bits itself.  The
+``randint`` as it did before it read the generator's bits itself, and one
+3-bit call per coefficient, over the whole slice and then cut to the kept
+keys, as it did before it read the bits in bulk.  The End(X) maps are
+built with every column computed up front, as before a column was computed
+on first read.  The
 Duflo endgame's quadratic invariant, B-side total complex, corrected
 polyvector image and class match are kept as the suite wrote them in
 closures before ``hochschild.TotalSlice`` and ``duflo.quadratic_invariant``
@@ -971,6 +975,59 @@ def old_random_vector(space: BasisSpace, degree: int, seed: int) -> GradedVector
         if c:
             v.coeffs[key] = c
     return v
+
+
+def per_draw_random_vector(space: BasisSpace, degree: int,
+                           seed: int) -> GradedVector:
+    """``exact.random_vector`` as it drew each coefficient with its own
+    ``getrandbits(3)`` call, redrawn while it is 7."""
+    keys = space.keys_of_degree(degree)
+    v = GradedVector.zero(space)
+    if not keys:
+        return v
+    bits = random.Random(
+        derive_seed("random_vector", space.name, degree, seed)).getrandbits
+    for key in keys:
+        c = bits(3)
+        while c >= 7:
+            c = bits(3)
+        if c != 3:
+            v.coeffs[key] = c - 3
+    return v
+
+
+def cut_seeded_value(space, r, value_keys, pieces,
+                     seed_parts) -> GradedVector:
+    """``hochschild.seeded_value`` as it drew the whole degree slice and
+    then cut it to ``value_keys``."""
+    for letters, _, word in pieces:
+        if letters is not None and any(k not in letters for k in word):
+            return GradedVector.zero(space)
+    deg = r + sum(sp.degree[k] for _, sp, word in pieces for k in word)
+    vec = per_draw_random_vector(space, deg, derive_seed(*seed_parts))
+    if value_keys is not None:
+        vec = GradedVector(space, {k: c for k, c in vec.coeffs.items()
+                                   if k in value_keys})
+    return vec
+
+
+# -- End(X) maps with every column computed up front ------------------------
+
+def eager_guarded_map(source, target, shift, col_fn) -> GradedMap:
+    """``exact.guarded_map`` as it computed every column when built.
+
+    A key whose column raises WindowOverflow is not stored and not covered;
+    the coverage is None when no column left the window.
+    """
+    columns = {}
+    for key in source.keys:
+        try:
+            columns[key] = col_fn(key)
+        except WindowOverflow:
+            pass
+    full = len(columns) == len(source.keys)
+    return GradedMap(source, target, shift, columns, check=False,
+                     covered=None if full else columns)
 
 
 # -- the tail chain without a memo: each level reads the one below lazily ---

@@ -13,13 +13,15 @@ from hochduflo.exact import (BasisSpace, GradedMap, GradedVector,
                              cohomology_slice, guarded_map, kernel_basis,
                              random_vector, rank, rows_nullspace, rows_rank,
                              rows_solve, solve)
-from hochduflo.hochschild import dual_odd_algebra, interior_hh
+from hochduflo.hochschild import (dual_odd_algebra, interior_hh, kept_keys,
+                                  seeded_value)
 from hochduflo.liealg import DualOdd, LieAlgebra, OddSym, UgWindow
 from hochduflo.keller import LieTriple
 
-from oracles import (dense_rows_nullspace, dense_rows_rank, dense_rows_solve,
-                     gauss_nullity, gauss_rank, greedy_cohomology_slice,
-                     old_random_vector)
+from oracles import (cut_seeded_value, dense_rows_nullspace, dense_rows_rank,
+                     dense_rows_solve, gauss_nullity, gauss_rank,
+                     greedy_cohomology_slice, old_random_vector,
+                     per_draw_random_vector)
 
 
 def small_space(name="V"):
@@ -230,6 +232,32 @@ def test_random_vector_draws_the_randint_stream(space, degree, seed):
     assert got.space is want.space
     assert list(got.coeffs.items()) == list(want.coeffs.items())
     assert all(type(c) is int for c in got.coeffs.values())
+
+
+@pytest.mark.parametrize("name", ["aff1", "sl2", "so3", "heisenberg3"])
+def test_bulk_draws_match_one_call_per_coefficient(name):
+    """Reading the generator's words in bulk gives the vector of one
+    ``getrandbits(3)`` call per coefficient, and a seeded value drawn only
+    up to its last kept key gives the whole slice cut to the kept keys,
+    key order included, on every slice of the PBW 5 windows."""
+    triple = LieTriple(getattr(LieAlgebra, name)(), 5)
+    for space in (triple.x_space, triple.ug.space, triple.dual.space):
+        cuts = (None, frozenset(space.keys[::3]), frozenset(space.keys[:2]))
+        for degree in space.degrees() + [max(space.degrees()) + 1]:
+            for seed in range(100):
+                got = random_vector(space, degree, seed)
+                want = per_draw_random_vector(space, degree, seed)
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
+                for value_keys in cuts:
+                    got = seeded_value(
+                        space, degree,
+                        lambda d: kept_keys(space, d, value_keys), (),
+                        (name, seed))
+                    want = cut_seeded_value(space, degree, value_keys, (),
+                                            (name, seed))
+                    assert got.space is want.space
+                    assert list(got.coeffs.items()) == \
+                        list(want.coeffs.items())
 
 
 def test_fraction_free_solver_agrees_with_plain_gauss():
@@ -445,29 +473,34 @@ def test_coverage_propagation(f, g, outer, c):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.sets(st.sampled_from(COVER_S.keys)),
-       st.none() | st.sets(st.sampled_from(COVER_S.keys)),
        st.dictionaries(st.sampled_from(COVER_S.keys), st.dictionaries(
            st.sampled_from(COVER_T.keys), st.integers(-3, 3), max_size=3)))
-def test_guarded_map_covers_the_columns_that_fit(refused, keys, values):
+def test_guarded_map_covers_the_columns_that_fit(refused, values):
     """A column that raises WindowOverflow is neither stored nor covered,
-    and reading it raises again; coverage is None only for a full build."""
+    and reading it raises again; coverage is None only when no column is
+    refused.  Each column is computed once, however often it is read."""
+    tried = []
+
     def col_fn(key):
+        tried.append(key)
         if key in refused:
             raise WindowOverflow("drawn refusal at %r" % (key,))
         return GradedVector(COVER_T, values.get(key, {}))
 
-    m = guarded_map(COVER_S, COVER_T, 0, col_fn, keys=keys)
-    asked = set(COVER_S.keys) if keys is None else keys
-    assert coverage(m) == asked - refused
-    assert (m.covered is None) == (keys is None and not refused)
+    m = guarded_map(COVER_S, COVER_T, 0, col_fn)
+    assert coverage(m) == set(COVER_S.keys) - refused
+    assert (m.covered is None) == (not refused)
     assert set(m.columns) <= coverage(m)
     for key in coverage(m):
-        assert m.column(key) == col_fn(key)
+        assert m.column(key) is m(key)
+        assert m.column(key) == GradedVector(COVER_T, values.get(key, {}))
     for key in set(COVER_S.keys) - coverage(m):
-        with pytest.raises(WindowOverflow):
-            m.column(key)
-        with pytest.raises(WindowOverflow):
-            m(GradedVector.basis(m.source, key))
+        for _ in range(2):
+            with pytest.raises(WindowOverflow):
+                m.column(key)
+            with pytest.raises(WindowOverflow):
+                m(GradedVector.basis(m.source, key))
+    assert sorted(tried) == sorted(COVER_S.keys)
 
 
 def test_solver_membership():

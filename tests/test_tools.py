@@ -57,14 +57,15 @@ def test_setup_probe_exits_zero(workload):
     assert probe.returncode == 0, probe.stderr[-2000:]
 
 
-@pytest.mark.parametrize("workload", ["endgame", "elimination"])
+@pytest.mark.parametrize("workload",
+                         ["endgame", "certificates", "elimination"])
 def test_traced_run_exits_zero(workload):
     """``perfbench/run.py --trace 1`` exits 2 when a traced pass records no
     call of an entry point the workload expects, for example a table that
-    stops calling ``liealg.contract``.  One traced run of each short
+    stops calling ``liealg.contract``, or lazier End(X) maps that stop
+    calling ``keller.LieTriple._lmul_key``.  One traced run of each
     workload is not refused.  The speed gauge, the other refusal, runs only
-    untraced, and ``certificates`` is left out: its traced run takes
-    several seconds."""
+    untraced."""
     run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],

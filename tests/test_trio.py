@@ -3,23 +3,27 @@
 import random
 from fractions import Fraction as Q
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 
-from hochduflo.exact import (GradedMap, GradedVector, WindowOverflow,
-                             derive_seed)
+from hochduflo import keller, trio
+from hochduflo.exact import (GradedMap, GradedVector, LazyMap,
+                             StructuralError, WindowOverflow, derive_seed)
 from hochduflo.hochschild import (BimoduleOps, Cochain, hoch_d, hoch_partial,
                                   random_cochain)
-from hochduflo.keller import LieTriple, row_exactness_certificate
+from hochduflo.keller import (AbelianActionCone, LieTriple,
+                              row_exactness_certificate)
+from hochduflo.liealg import LieAlgebra
 from hochduflo.suites import (suite_homotopy_identity, suite_trio,
                               suite_phi_psi)
-from hochduflo.trio import (ALinearEnds, BLinearEnds, EndCochain, TrioCochain,
-                            XCochain, d_ax, d_left, d_right, del_x, embed_trio,
-                            phi_embed, project_a, psi_embed,
-                            random_x_cochain, rho_a_star, semidirect_algebra,
-                            trio_differential)
+from hochduflo.trio import (ALinearEnds, BLinearEnds, EndCochain, EndMaps,
+                            TrioCochain, XCochain, d_ax, d_left, d_right,
+                            del_x, embed_trio, left_action_map, phi_embed,
+                            project_a, psi_embed, random_x_cochain,
+                            rho_a_star, semidirect_algebra, trio_differential)
 
-from oracles import old_d_left, old_d_right, old_del_x
+from oracles import eager_guarded_map, old_d_left, old_d_right, old_del_x
 
 
 def test_semidirect_is_dg_algebra(aff1):
@@ -127,6 +131,123 @@ def test_phi_psi_values(aff1):
 def test_phi_psi_suite(aff1):
     report = suite_phi_psi(aff1, trials=25, seed=0)
     assert report.ok, [(c.name, c.witness) for c in report.checks if not c.ok]
+
+
+def test_phi_psi_suite_never_mutates_a_lazy_column(aff1, monkeypatch):
+    """Every column a lazy End(X) map computes is handed out shared, so
+    no caller may write into one: with each such column frozen (its
+    coefficients a read-only mapping) the suite gives the same report."""
+    plain = suite_phi_psi(aff1, trials=25, seed=0).to_dict()
+    frozen = []
+    build = LazyMap.__init__
+
+    def freezing_init(self, source, target, shift, col_fn):
+        def col(key):
+            vec = col_fn(key)
+            vec.coeffs = MappingProxyType(vec.coeffs)
+            frozen.append(key)
+            return vec
+
+        build(self, source, target, shift, col)
+
+    monkeypatch.setattr(LazyMap, "__init__", freezing_init)
+    report = suite_phi_psi(aff1, trials=25, seed=0)
+    assert frozen and report.ok
+    assert report.to_dict() == plain
+
+
+def _outcome_of(m, key):
+    try:
+        return m.column(key)
+    except WindowOverflow:
+        return WindowOverflow
+
+
+def end_builders(triple):
+    """(name, build) for each End(X) map builder: ``build()`` makes its map
+    from fresh operands, on a source map that refuses the window top."""
+    A, B, X = triple.A, triple.B, triple.X
+    a_vec = GradedVector(A.space, {(0,): 1, (1,): -2})
+    b_key = next(k for k in B.space.keys if B.space.degree[k])
+
+    def partial():
+        return left_action_map(X, a_vec, 0)
+
+    return [
+        ("left_action_map", partial),
+        ("EndMaps.d", lambda: EndMaps(X).d(partial())),
+        ("BLinearEnds.lmul", lambda: BLinearEnds(A, X).lmul((1,), partial())),
+        ("BLinearEnds.rmul", lambda: BLinearEnds(A, X).rmul(partial(), (0,))),
+        ("ALinearEnds.lmul", lambda: ALinearEnds(B, X).lmul(b_key, partial())),
+        ("ALinearEnds.rmul", lambda: ALinearEnds(B, X).rmul(partial(), b_key)),
+        ("EndMaps.d of a right action",
+         lambda: EndMaps(X).d(ALinearEnds(B, X).rmul(partial(), b_key))),
+    ]
+
+
+def cone_builders():
+    """The same for the maps of the abelian action cone."""
+    cone = AbelianActionCone(dom_cap=4, val_cap=6)
+    v = GradedVector(cone.val.space, {(): 1, (0,): 3})
+    # u -> u^2, covered where the square stays in the window
+    square = {u: GradedVector.basis(cone.val.space, u + u)
+              for u in cone.dom.space.keys if 2 * len(u) <= cone.val_cap}
+    g = GradedMap(cone.dom.space, cone.val.space, 0, square, covered=square)
+
+    def defect():
+        return cone._defect(cone._defect(g))
+
+    def act(side):
+        m = (v, defect(), cone._rho(v))
+        return (cone.lmul((0,), m) if side == "l" else cone.rmul(m, (0,)))[1]
+
+    return [("AbelianActionCone._defect", defect),
+            ("AbelianActionCone.lmul", lambda: act("l")),
+            ("AbelianActionCone.rmul", lambda: act("r"))]
+
+
+@pytest.mark.parametrize("lie", ["aff1", "sl2", "heisenberg3"])
+def test_lazy_end_maps_match_the_eager_builder(lie, monkeypatch):
+    """Each lazy End(X) builder gives, on every key of the X window, the
+    column of the eager builder, and refuses exactly the keys eager does
+    not cover, again on a second read.  The whole-map readers agree with
+    eager, and a lazy map takes no column from outside."""
+    triple = LieTriple(getattr(LieAlgebra, lie)(), 4)
+    builders = end_builders(triple) + cone_builders()
+
+    def eager(build):
+        with monkeypatch.context() as m:
+            m.setattr(trio, "guarded_map", eager_guarded_map)
+            m.setattr(keller, "guarded_map", eager_guarded_map)
+            return build()
+
+    refusals = 0
+    for name, build in builders:
+        lazy, want = build(), eager(build)
+        assert type(lazy) is LazyMap and type(want) is GradedMap, name
+        for key in lazy.source.keys:
+            got = _outcome_of(lazy, key)
+            assert got == _outcome_of(want, key), (name, key)
+            assert _outcome_of(lazy, key) == got, (name, key)
+            refusals += got is WindowOverflow
+        assert lazy.covered == want.covered, name
+        fresh = build()
+        assert fresh == want and want == fresh and lazy == fresh, name
+        assert list(fresh.columns.items()) == list(want.columns.items())
+        assert fresh.covered == want.covered and repr(fresh) == repr(want)
+        assert fresh.is_zero() == want.is_zero(), name
+        for got, ref in ((lazy + build(), want + eager(build)),
+                         (build().scale(-2), want.scale(-2))):
+            assert got.covered == ref.covered, name
+            assert list(got.columns.items()) == list(ref.columns.items())
+        if lazy.source is lazy.target:
+            got, ref = lazy.compose(build()), want.compose(eager(build))
+            assert got.covered == ref.covered, name
+            assert list(got.columns.items()) == list(ref.columns.items())
+        with pytest.raises(StructuralError):
+            build().set_column(lazy.source.keys[0],
+                               GradedVector.zero(lazy.target))
+    assert refusals
 
 
 def test_phi_rho_is_mixed_leg_pointwise(sl2):
