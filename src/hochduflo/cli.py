@@ -138,6 +138,9 @@ def cmd_duflo_series(args):
 def cmd_hh(args):
     if args.algebra != "dual-odd":
         raise StructuralError("only the dual-odd algebra is exposed here")
+    if args.min_degree > args.max_degree:
+        raise StructuralError("--min-degree %d exceeds --max-degree %d"
+                              % (args.min_degree, args.max_degree))
     g = load_lie_algebra(args.lie)
     B = dual_odd_algebra(DualOdd(g), OddSym(g))
     out = {"lie": g.name, "algebra": "dual-odd", "window": args.window,
@@ -160,8 +163,29 @@ def cmd_hh(args):
     return 0
 
 
+def at_least(low):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("not an integer: %r" % text)
+        if n < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                             % (low, n))
+        return n
+    return parse
+
+
+class Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="hochduflo",
         description="exact verification harness for the windowed "
                     "Hochschild/Gerstenhaber calculus and the Duflo "
@@ -177,11 +201,13 @@ def build_parser():
                    help="machine-readable output")
     p.add_argument("--lie", default="aff1",
                    help="bundled name or JSON path (default aff1)")
-    p.add_argument("--max-arity", type=int, default=3, dest="max_arity")
-    p.add_argument("--pbw", type=int, default=3)
-    p.add_argument("--series-order", type=int, default=4, dest="series_order")
+    p.add_argument("--max-arity", type=at_least(1), default=3,
+                   dest="max_arity")
+    p.add_argument("--pbw", type=at_least(0), default=3)
+    p.add_argument("--series-order", type=at_least(0), default=4,
+                   dest="series_order")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=at_least(1), default=100)
     p.add_argument("--timings", action="store_true",
                    help="add each check's wall-clock seconds to the JSON "
                         "report (no longer a pure function of the config)")
@@ -192,19 +218,19 @@ def build_parser():
     p.add_argument("--lie", default="sl2")
     p.add_argument("--coeff", default="trivial",
                    choices=["trivial", "sg", "ug"])
-    p.add_argument("--pbw", type=int, default=2)
+    p.add_argument("--pbw", type=at_least(0), default=2)
     p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("duflo", help="Duflo series reports")
     p.add_argument("what", choices=["series"])
     p.add_argument("--lie", default="sl2")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=at_least(0), default=4)
     p.set_defaults(fn=cmd_duflo_series)
 
     p = sub.add_parser("hh", help="interior Hochschild dimensions")
     p.add_argument("--algebra", default="dual-odd")
     p.add_argument("--lie", default="abelian1")
-    p.add_argument("--window", type=int, default=5)
+    p.add_argument("--window", type=at_least(0), default=5)
     p.add_argument("--min-degree", type=int, default=0, dest="min_degree")
     p.add_argument("--max-degree", type=int, default=0, dest="max_degree")
     p.set_defaults(fn=cmd_hh)

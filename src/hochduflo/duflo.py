@@ -594,25 +594,31 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
         columns = {}
         live = set()        # the words of this stage with a non-zero sigma
         current = LinearXCochain(ctx, 0, q, r, columns)
+        # del_x memoizes its values, so one per stage is safe: at ``bw`` it
+        # reads ``current`` at ``bw`` itself only while ``bw`` is solved,
+        # before ``columns[bw]`` is set, and the longer words it reads are
+        # already final
         del_current = del_x(current)
         fB_q = fB_cols.setdefault(q, {})
         for bw in word_order(words_of(letters, q)):
             before, here = reads(bw)
             if q and live_prev.isdisjoint(before) and live.isdisjoint(here):
                 continue
-            # live view: the absorber mutates this vector in place
+            # the absorber changes fB_q[bw] in place and null_homotopy then
+            # reads the target again, so d_xb of this view is built on every
+            # read: its memo never holds a value from before an absorption
             fB_q[bw] = GradedVector.zero(ctx.dual.space)
             view = Cochain(ctx.B, ctx.B, q, -q, columns=fB_q,
                            label="fB%d" % q)
-            dxb_q = d_xb(view, ctx.A, ctx.X)
 
-            def target(x_key, bw=bw, dxb_q=dxb_q):
+            def target(x_key, bw=bw, view=view):
                 out = GradedVector.zero(ctx.X.space)
                 if q == 0:
                     out.add_inplace(dax.value((), x_key, ()), -1)
                 if d_prev is not None:
                     out.add_inplace(d_prev.value((), x_key, bw), -1)
-                out.add_inplace(dxb_q.value((), x_key, bw), -1)
+                out.add_inplace(d_xb(view, ctx.A, ctx.X).value((), x_key, bw),
+                                -1)
                 # couplings to already-solved words of this stage
                 out.add_inplace(del_current.value((), x_key, bw), -1)
                 return out

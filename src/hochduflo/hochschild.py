@@ -239,7 +239,13 @@ class Cochain(WordCochain):
 
 
 class Derived(Cochain):
-    """Operator-image cochain evaluated on demand from the formula."""
+    """Operator-image cochain evaluated on demand from the formula.
+
+    The formula runs once per word: ``_value`` memoizes it per instance, so
+    a repeated read is a lookup and every reader shares one read-only
+    vector, as with seeded values.  A refusal (``WindowOverflow``) is raised
+    again, never stored.
+    """
 
     def __init__(self, algebra, module, p, r, fn, label=""):
         super().__init__(algebra, module, p, r, label=label)
@@ -249,6 +255,11 @@ class Derived(Cochain):
         word = tuple(word)
         if len(word) != self.p:
             raise StructuralError("arity mismatch in %s" % (self.label or "derived"))
+        return self._value(word)
+
+    @key_memo
+    def _value(self, word):
+        """The value on ``word``, computed once per cochain."""
         return self._fn(word)
 
 

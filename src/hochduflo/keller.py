@@ -449,9 +449,10 @@ class ModuleCochain(WordCochain):
     tail chain of :func:`frak_h_sequence` evaluates the level below it once
     per word.  This is safe because the module's operations build new
     values and no caller changes one in place, and a refusal
-    (``WindowOverflow``) is raised again, never stored.  ``Derived`` and
-    ``trio.XDerived`` stay uncached: the Duflo lift reads columns that its
-    absorber changes in place.
+    (``WindowOverflow``) is raised again, never stored.  ``Derived``,
+    ``trio.XDerived`` and ``trio.EndCochain`` memoize alike.  A reader whose
+    inputs change under it, as the Duflo lift's f_B columns do while its
+    absorber works, builds the derived cochain afresh for each read.
     """
 
     def __init__(self, algebra: DgAlgebra, module: AbelianActionCone,

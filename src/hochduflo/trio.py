@@ -179,12 +179,21 @@ class XCochain:
 
 
 class XDerived(XCochain):
+    """X-part cochain evaluated on demand from ``fn(aw, xk, bw)``, once per
+    word: ``_value`` memoizes it per instance like ``hochschild.Derived``,
+    so readers share one read-only vector and a refusal is never stored."""
+
     def __init__(self, A, X, B, p, q, r, fn, label=""):
         super().__init__(A, X, B, p, q, r, label=label)
         self._fn = fn
 
     def value(self, aw, xk, bw):
         aw, bw = self.pieces(aw, bw)
+        return self._value(aw, xk, bw)
+
+    @key_memo
+    def _value(self, aw, xk, bw):
+        """The value on the word (aw, xk, bw), computed once per cochain."""
         return self._fn(aw, xk, bw)
 
 
@@ -435,7 +444,10 @@ class EndCochain(WordCochain):
     """Hom^r(A^{(x)p}, End(X))-cochain with GradedMap values.
 
     Used for cochains valued in the right-B-linear or left-A-linear
-    endomorphisms; values outside stored columns are zero.
+    endomorphisms; values outside stored columns are zero.  A cochain built
+    from a formula (``fn``) computes its value once per word: ``_value``
+    memoizes it per instance, readers share the map and only read it, and a
+    refusal is raised again, never stored.
     """
 
     def __init__(self, A: DgAlgebra, X: Bimodule, p: int, r: int,
@@ -452,11 +464,16 @@ class EndCochain(WordCochain):
         if len(word) != self.p:
             raise StructuralError("arity mismatch in %s" % self.label)
         if self._fn is not None:
-            return self._fn(word)
+            return self._value(word)
         got = self.columns.get(word)
         if got is not None:
             return got
         return self.values.zero(self.r + self.algebra.word_degree(word))
+
+    @key_memo
+    def _value(self, word) -> GradedMap:
+        """The value of ``fn`` on ``word``, computed once per cochain."""
+        return self._fn(word)
 
     def derived(self, p, r, fn, label) -> "EndCochain":
         return EndCochain(self.algebra, self.X, p, r, label=label, fn=fn)

@@ -540,20 +540,21 @@ def full_sweep_lift(ctx: DufloContext, u0: GradedVector,
         words = [()] if q == 0 else             [w + (b,) for w in words_of(letters, q - 1) for b in letters]
         changed = False
         for bw in word_order(words):
-            # live view: the absorber mutates these vectors in place
+            # live view: the absorber mutates these vectors in place, so
+            # d_xb of it is built on every read (its values are memoized)
             fB_cols.setdefault(q, {}).setdefault(
                 bw, GradedVector.zero(ctx.dual.space))
             live = Cochain(ctx.B, ctx.B, q, -q, columns=fB_cols[q],
                            label="fB%d" % q)
-            dxb_q = d_xb(live, ctx.A, ctx.X)
 
-            def target(x_key, bw=bw, dxb_q=dxb_q):
+            def target(x_key, bw=bw, live=live):
                 out = GradedVector.zero(ctx.X.space)
                 if q == 0:
                     out.add_inplace(dax.value((), x_key, ()), -1)
                 if d_prev is not None:
                     out.add_inplace(d_prev.value((), x_key, bw), -1)
-                out.add_inplace(dxb_q.value((), x_key, bw), -1)
+                out.add_inplace(d_xb(live, ctx.A, ctx.X).value((), x_key, bw),
+                                -1)
                 # couplings to already-solved words of this stage
                 out.add_inplace(del_current.value((), x_key, bw), -1)
                 return out

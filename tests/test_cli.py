@@ -155,3 +155,40 @@ def test_bad_lie_input_is_a_one_line_error(tmp_path, capsys, content):
     assert main(["suite", "sum-example", "--lie", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "all", "--lie", "aff1", "--trials", "0"],
+    ["suite", "all", "--lie", "aff1", "--pbw", "-1"],
+    ["suite", "all", "--lie", "aff1", "--max-arity", "0"],
+    ["suite", "all", "--lie", "aff1", "--series-order", "-1"],
+    ["suite", "all", "--lie", "aff1", "--trials", "many"],
+    ["cohomology", "ce", "--pbw", "-1"],
+    ["duflo", "series", "--order", "-1"],
+    ["hh", "--window", "-1"],
+    ["hh", "--min-degree", "1", "--max-degree", "0"],
+    ["cohomology", "de-rham"],
+    [],
+], ids=["trials", "pbw", "max-arity", "series-order", "not-int",
+        "ce-pbw", "order", "window", "degrees", "choice", "no-command"])
+def test_out_of_range_flags_are_one_line_errors(capsys, argv):
+    """A flag outside the range the README states exits 2 with one line on
+    standard error, before anything is computed or printed."""
+    try:
+        status = main(argv)
+    except SystemExit as exc:       # argparse refuses it while parsing
+        status = exc.code
+    out, err = capsys.readouterr()
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_parser_errors_exit_two_with_one_line(capsys):
+    """The parser and its subcommand parsers report a usage error as one
+    ``error:`` line, without the usage text, and exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().error("argument --pbw: must be at least 0, got -1")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: argument --pbw: must be at least 0, got -1\n")

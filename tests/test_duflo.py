@@ -7,8 +7,9 @@ from fractions import Fraction as Q
 import pytest
 
 from hochduflo import duflo
-from hochduflo.exact import GradedVector, LazyMap, WindowOverflow, derive_seed
-from hochduflo.hochschild import Cochain, TotalSlice, words_of
+from hochduflo.exact import (GradedVector, LazyMap, StructuralError,
+                             WindowOverflow, derive_seed)
+from hochduflo.hochschild import Cochain, Derived, TotalSlice, words_of
 from hochduflo.liealg import LieAlgebra, SymPoly, pbw_map
 from hochduflo.series import PolyTrunc, duflo_log_coefficients
 from hochduflo.duflo import (DufloContext, LinearValue, LinearXCochain,
@@ -20,7 +21,7 @@ from hochduflo.duflo import (DufloContext, LinearValue, LinearXCochain,
                              todd_determinant, trace_ad_powers,
                              atiyah_cocycle)
 from hochduflo.suites import suite_duflo_maps, suite_homotopy_identity
-from hochduflo.trio import d_right, d_xb, del_x
+from hochduflo.trio import XDerived, d_right, d_xb, del_x
 
 from oracles import (duflo_log_oracle, full_sweep_lift, old_b_complex,
                      old_class_match, old_corrected_image, old_get_quadratic,
@@ -353,6 +354,45 @@ def test_lift_matches_the_full_sweep(heis3):
     want = lift_columns(*full_sweep_lift(ctx, u0, depth=5, max_extra=1))
     assert got[0] and got[1]
     assert got == want
+
+
+def uncached(cls):
+    """``cls._value`` without its memo: the formula on every read."""
+    formula = cls._value.__wrapped__
+    return lambda self, *args: formula(self, *args)
+
+
+def test_lift_guards_its_live_view(heis3, monkeypatch):
+    """The lift reads cochains built on f_B columns that its absorber
+    changes in place.  With the derived values memoized it gives the
+    components and f_B of the uncached formulas.  A d_xb built once per
+    f_B view, as it was before it moved inside the target, keeps a value
+    from before an absorption, and the lift then raises or differs."""
+    ctx, u0 = corrected_casimir(heis3)
+    got = lift_columns(*lift_central_through_projection(ctx, u0, depth=5,
+                                                        max_extra=1))
+    assert got[1]                       # the absorber did change f_B
+    with monkeypatch.context() as m:
+        m.setattr(Derived, "_value", uncached(Derived))
+        m.setattr(XDerived, "_value", uncached(XDerived))
+        want = lift_columns(*lift_central_through_projection(
+            ctx, u0, depth=5, max_extra=1))
+    assert got == want
+
+    built = {}
+
+    def once_per_view(fB, A, X):
+        if id(fB) not in built:
+            built[id(fB)] = fB, d_xb(fB, A, X)    # keeps fB, so its id
+        return built[id(fB)][1]
+
+    monkeypatch.setattr(duflo, "d_xb", once_per_view)
+    try:
+        stale = lift_columns(*lift_central_through_projection(
+            ctx, u0, depth=5, max_extra=1))
+    except StructuralError:
+        stale = None
+    assert stale != got
 
 
 def test_lift_stops_after_two_quiet_stages(heis3, monkeypatch):

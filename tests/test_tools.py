@@ -3,6 +3,7 @@ refused runs, every workload's set-up probe runs, and the short workloads'
 traced runs reach every layer they expect."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,45 @@ def test_summary_counts_gauge_refusals_and_unscaled_passes():
     assert table["unscaled_pass_s"] == {"parent": [0.4, 0.5, None],
                                         "change": [0.3, None, None]}
     assert table["wall_s"]["change_wins"] == 1
+
+
+def test_counts_are_set_side_by_side():
+    """``--counts`` keeps the count metrics of a traced result line, and
+    only those, with both sides and the change's ratio to the parent."""
+    bench = load_bench_pairs()
+    line = json.dumps({"correct": True, "attempted": 116, "failed": 0,
+                       "metrics": {
+                           "hochschild.Derived.value.calls":
+                               {"value": 37278, "unit": "count"},
+                           "hochschild.Derived.value.self_s":
+                               {"value": 0.31, "unit": "s"},
+                           "exact.GradedVector.ops":
+                               {"value": 408930, "unit": "count"},
+                           "exact.WindowOverflow.raised":
+                               {"value": 12, "unit": "count"},
+                           "exact.bareiss_echelon.cells":
+                               {"value": 0, "unit": "count"},
+                           "liealg.UgWindow.mul_keys.unique_ratio":
+                               {"value": 0.4, "unit": "ratio"}}})
+    parent = json.loads(line)
+    change = json.loads(line)
+    change["metrics"]["exact.GradedVector.ops"]["value"] = 306019
+    del change["metrics"]["exact.WindowOverflow.raised"]
+    assert bench.count_metrics(parent) == {
+        "hochschild.Derived.value.calls": 37278,
+        "exact.GradedVector.ops": 408930,
+        "exact.WindowOverflow.raised": 12,
+        "exact.bareiss_echelon.cells": 0}
+    assert bench.count_metrics(None) == {}
+    table = bench.compare_counts({"parent": {"result": parent},
+                                  "change": {"result": change}})
+    assert list(table) == sorted(bench.count_metrics(parent))
+    assert table["exact.GradedVector.ops"] == {
+        "parent": 408930, "change": 306019, "change_over_parent": 0.7483}
+    assert table["hochschild.Derived.value.calls"]["change_over_parent"] == 1
+    assert table["exact.WindowOverflow.raised"]["change"] is None
+    assert table["exact.bareiss_echelon.cells"]["change_over_parent"] is None
+    assert bench.parse_seeds("") == []
 
 
 @pytest.mark.parametrize("workload", ["endgame", "certificates", "elimination"])

@@ -27,6 +27,14 @@ pass (from ``run.py``'s ``unscaled:`` line, null when it printed none) and
 ``gauge_refusals``, the runs that exited 2 because the speed gauge had too
 few samples around a pass.  The file is rewritten after every pair, so an interrupted
 recording keeps its finished pairs.  Only the standard library is used.
+
+With ``--counts``, one traced run (``perfbench/run.py --workload W --seed 1
+--seconds 0 --trace 1``) of each workload first runs in each checkout,
+parent first.  Its count metrics (the names ending in ``.calls``, ``.ops``,
+``.raised`` and ``.cells``) go to ``counts``, per workload and metric with
+both sides and the change's ratio to the parent, next to each run's exit
+status.  ``--seeds ''`` runs no timed pairs, so ``--counts`` alone records
+only the counts.
 """
 
 from __future__ import annotations
@@ -48,23 +56,26 @@ DURATION = re.compile(r"^([0-9.]+)s call\s+\S+::(\w+)$")
 UNSCALED = re.compile(r"^unscaled: median pass ([0-9.]+) s;", re.MULTILINE)
 GAUGE_REFUSAL = "speed samples around an interval"
 SIDES = ("parent", "change")
+# the traced per-layer metrics that count work rather than time it
+COUNT_SUFFIXES = (".calls", ".ops", ".raised", ".cells")
 
 
 def parse_seeds(text):
     """``"1-10"`` or ``"1,4,7"`` (or a mix) as a list of ints."""
     seeds = []
-    for part in text.split(","):
+    for part in filter(None, text.split(",")):
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One ``--trace 0`` run in ``checkout``: its exit status, result and
-    unscaled median pass."""
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """One run in ``checkout``: its exit status, result and unscaled median
+    pass."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -98,6 +109,27 @@ def run_tier1(checkout):
     return {"exit": proc.returncode, "wall_s": round(wall, 2),
             "summary": lines[-1] if lines else None,
             "durations_s": durations}
+
+
+def count_metrics(result):
+    """The count metrics of a traced run's result line, by name."""
+    metrics = (result or {}).get("metrics", {})
+    return {name: m["value"] for name, m in metrics.items()
+            if name.endswith(COUNT_SUFFIXES)}
+
+
+def compare_counts(runs):
+    """Per count metric of either side: both sides' values (None where a
+    side lacks it) and the change's ratio to the parent."""
+    counts = {side: count_metrics(runs[side]["result"]) for side in SIDES}
+    table = {}
+    for name in sorted(set(counts["parent"]) | set(counts["change"])):
+        parent, change = (counts[side].get(name) for side in SIDES)
+        ratio = (round(change / parent, 4)
+                 if parent and change is not None else None)
+        table[name] = {"parent": parent, "change": change,
+                       "change_over_parent": ratio}
+    return table
 
 
 def quartiles(values):
@@ -156,6 +188,9 @@ def main(argv=None):
                     help="the BENCH_<n>.json to write")
     ap.add_argument("--tier1", action="store_true",
                     help="also time the Tier-1 suite once per checkout")
+    ap.add_argument("--counts", action="store_true",
+                    help="also record the count metrics of one traced run "
+                         "per workload and checkout")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -174,6 +209,19 @@ def main(argv=None):
         print("tier1: exit %d/%d" % (record["tier1"]["parent"]["exit"],
                                      record["tier1"]["change"]["exit"]),
               flush=True)
+    if args.counts:
+        record["counts"] = {}
+        for workload in args.workloads:
+            runs = {side: run_once(getattr(args, side), workload, 1, 0,
+                                   trace=1) for side in SIDES}
+            record["counts"][workload] = {
+                "exit": {side: runs[side]["exit"] for side in SIDES},
+                "metrics": compare_counts(runs)}
+            args.out.write_text(json.dumps(record, indent=1, sort_keys=True)
+                                + "\n")
+            print("%s counts: exit %d/%d" % (workload, runs["parent"]["exit"],
+                                             runs["change"]["exit"]),
+                  flush=True)
     index = 0
     for workload in args.workloads:
         for seed in args.seeds:
@@ -193,6 +241,8 @@ def main(argv=None):
             index += 1
     exits = [p[side]["exit"] for p in record["pairs"] for side in SIDES]
     exits += [run["exit"] for run in record.get("tier1", {}).values()]
+    exits += [code for table in record.get("counts", {}).values()
+              for code in table["exit"].values()]
     return 1 if any(exits) else 0
 
 
