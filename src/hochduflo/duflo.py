@@ -576,7 +576,6 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
     letters = list(ctx.dual.space.keys)
     reads = _target_reads(ctx.B, letters)
     fA = Cochain(ctx.A, ctx.A, 0, 0, columns={(): u0}, label="u0")
-    dax = d_ax(fA, ctx.X, ctx.B)
 
     fB_cols = {}
 
@@ -590,37 +589,39 @@ def lift_central_through_projection(ctx: DufloContext, u0: GradedVector,
     while q <= d + max_extra:
         r = -1 - q
         prev = components.get(q - 1)
-        d_prev = d_right(prev) if prev is not None else None
         columns = {}
         live = set()        # the words of this stage with a non-zero sigma
         current = LinearXCochain(ctx, 0, q, r, columns)
-        # del_x memoizes its values, so one per stage is safe: at ``bw`` it
-        # reads ``current`` at ``bw`` itself only while ``bw`` is solved,
-        # before ``columns[bw]`` is set, and the longer words it reads are
-        # already final
-        del_current = del_x(current)
         fB_q = fB_cols.setdefault(q, {})
         for bw in word_order(words_of(letters, q)):
             before, here = reads(bw)
             if q and live_prev.isdisjoint(before) and live.isdisjoint(here):
                 continue
-            # the absorber changes fB_q[bw] in place and null_homotopy then
-            # reads the target again, so d_xb of this view is built on every
-            # read: its memo never holds a value from before an absorption
+            # live view: the absorber changes fB_q[bw] in place and
+            # null_homotopy then reads the target again
             fB_q[bw] = GradedVector.zero(ctx.dual.space)
             view = Cochain(ctx.B, ctx.B, q, -q, columns=fB_q,
                            label="fB%d" % q)
 
             def target(x_key, bw=bw, view=view):
+                # Each read builds its derived cochains afresh, so no memo
+                # outlives it.  d_xb must be: a value of the view memoized
+                # before an absorption would be stale.  The others could be
+                # kept (they read u0, the previous stage, and words of this
+                # stage already solved, or bw itself before columns[bw] is
+                # set), but then a re-read after an absorption would cost
+                # less than a first read and the endgame pass, which sits
+                # near the speed gauge's floor (ROADMAP item 6), would move.
                 out = GradedVector.zero(ctx.X.space)
                 if q == 0:
-                    out.add_inplace(dax.value((), x_key, ()), -1)
-                if d_prev is not None:
-                    out.add_inplace(d_prev.value((), x_key, bw), -1)
+                    out.add_inplace(d_ax(fA, ctx.X, ctx.B).value(
+                        (), x_key, ()), -1)
+                if prev is not None:
+                    out.add_inplace(d_right(prev).value((), x_key, bw), -1)
                 out.add_inplace(d_xb(view, ctx.A, ctx.X).value((), x_key, bw),
                                 -1)
                 # couplings to already-solved words of this stage
-                out.add_inplace(del_current.value((), x_key, bw), -1)
+                out.add_inplace(del_x(current).value((), x_key, bw), -1)
                 return out
 
             def absorb(y, ob, bw=bw):

@@ -366,8 +366,8 @@ def test_lift_guards_its_live_view(heis3, monkeypatch):
     """The lift reads cochains built on f_B columns that its absorber
     changes in place.  With the derived values memoized it gives the
     components and f_B of the uncached formulas.  A d_xb built once per
-    f_B view, as it was before it moved inside the target, keeps a value
-    from before an absorption, and the lift then raises or differs."""
+    f_B view keeps a value from before an absorption, and the lift then
+    raises or differs."""
     ctx, u0 = corrected_casimir(heis3)
     got = lift_columns(*lift_central_through_projection(ctx, u0, depth=5,
                                                         max_extra=1))

@@ -8,13 +8,16 @@ from types import MappingProxyType
 
 import pytest
 
-from hochduflo.duflo import DufloContext, random_pullback_element
+from hochduflo.duflo import (DufloContext, duflo_series,
+                             lift_central_through_projection, lift_residuals,
+                             quadratic_invariant, random_pullback_element,
+                             series_contraction)
 from hochduflo.exact import (GradedMap, GradedVector, LazyMap, WindowOverflow,
                              derive_seed, key_memo)
 from hochduflo.hochschild import (BimoduleOps, Derived, cup, gerstenhaber,
                                   hoch_d, random_cochain)
 from hochduflo.keller import LieTriple, row_exactness_certificate
-from hochduflo.liealg import LieAlgebra
+from hochduflo.liealg import LieAlgebra, pbw_map
 from hochduflo.suites import suite_hochschild_axioms, suite_phi_psi
 from hochduflo.trio import (ALinearEnds, EndCochain, XDerived, d_left,
                             d_right, del_x, phi_embed, psi_embed,
@@ -144,14 +147,34 @@ def freeze(value):
     return False
 
 
+def lift_and_residuals():
+    """The endgame's lift on heisenberg3, whose absorber adds into the f_B
+    columns it reads, and its residual sweep, as plain values."""
+    g = LieAlgebra.heisenberg3()
+    ctx = DufloContext(g, pbw_cap=6, sym_cap=4)
+    _J, Js = duflo_series(g, 4)
+    u0 = pbw_map(ctx.sym, ctx.ug, series_contraction(
+        ctx.sym, Js, quadratic_invariant(g, ctx.sym)))
+    comps, fB = lift_central_through_projection(ctx, u0, depth=5)
+    x_keys = [k for k in ctx.X.space.keys if len(k[0]) + len(k[1]) <= 2]
+    return (sorted((q, bw, y, sorted(v.coeffs.items()))
+                   for q, c in comps.items() for bw, s in c.columns.items()
+                   for y, v in s.gen.items()),
+            sorted((k, bw, sorted(v.coeffs.items()))
+                   for k, f in fB.items() for bw, v in f.columns.items()),
+            [bad[:4] + (sorted(bad[4].coeffs.items()),)
+             for bad in lift_residuals(ctx, u0, comps, fB, x_keys)])
+
+
 def run_consumers():
-    """The suites, one homotopy identity and one row certificate, as plain
-    values to compare."""
+    """The suites, one homotopy identity, one row certificate and the Duflo
+    lift with its residuals, as plain values to compare."""
     aff1 = LieAlgebra.aff1()
     ctx = DufloContext(LieAlgebra.sl2(), pbw_cap=8, sym_cap=4)
     e = random_pullback_element(ctx, 2, derive_seed("memo-hi", 1))
     residual = ctx.homotopy_identity_residual(e, 2)
     return {
+        "lift": lift_and_residuals(),
         "hochschild-axioms": suite_hochschild_axioms(
             aff1, max_arity=4, trials=40, seed=1).to_dict(),
         "phi-psi": suite_phi_psi(aff1, trials=15, seed=1).to_dict(),

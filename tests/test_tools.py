@@ -48,8 +48,9 @@ def test_summary_counts_gauge_refusals_and_unscaled_passes():
 
 
 def test_counts_are_set_side_by_side():
-    """``--counts`` keeps the count metrics of a traced result line, and
-    only those, with both sides and the change's ratio to the parent."""
+    """``count_metrics`` keeps the count metrics of a traced result line,
+    and only those; ``compare_counts`` sets both sides side by side with
+    the change's ratio to the parent."""
     bench = load_bench_pairs()
     line = json.dumps({"correct": True, "attempted": 116, "failed": 0,
                        "metrics": {

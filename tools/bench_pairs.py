@@ -28,13 +28,12 @@ pass (from ``run.py``'s ``unscaled:`` line, null when it printed none) and
 few samples around a pass.  The file is rewritten after every pair, so an interrupted
 recording keeps its finished pairs.  Only the standard library is used.
 
-With ``--counts``, one traced run (``perfbench/run.py --workload W --seed 1
---seconds 0 --trace 1``) of each workload first runs in each checkout,
-parent first.  Its count metrics (the names ending in ``.calls``, ``.ops``,
+Before the pairs, one traced run (``perfbench/run.py --workload W --seed 1
+--seconds 0 --trace 1``) of each workload runs in each checkout, parent
+first.  Its count metrics (the names ending in ``.calls``, ``.ops``,
 ``.raised`` and ``.cells``) go to ``counts``, per workload and metric with
 both sides and the change's ratio to the parent, next to each run's exit
-status.  ``--seeds ''`` runs no timed pairs, so ``--counts`` alone records
-only the counts.
+status.  ``--seeds ''`` runs no timed pairs, so it records only the counts.
 """
 
 from __future__ import annotations
@@ -188,9 +187,6 @@ def main(argv=None):
                     help="the BENCH_<n>.json to write")
     ap.add_argument("--tier1", action="store_true",
                     help="also time the Tier-1 suite once per checkout")
-    ap.add_argument("--counts", action="store_true",
-                    help="also record the count metrics of one traced run "
-                         "per workload and checkout")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -209,19 +205,17 @@ def main(argv=None):
         print("tier1: exit %d/%d" % (record["tier1"]["parent"]["exit"],
                                      record["tier1"]["change"]["exit"]),
               flush=True)
-    if args.counts:
-        record["counts"] = {}
-        for workload in args.workloads:
-            runs = {side: run_once(getattr(args, side), workload, 1, 0,
-                                   trace=1) for side in SIDES}
-            record["counts"][workload] = {
-                "exit": {side: runs[side]["exit"] for side in SIDES},
-                "metrics": compare_counts(runs)}
-            args.out.write_text(json.dumps(record, indent=1, sort_keys=True)
-                                + "\n")
-            print("%s counts: exit %d/%d" % (workload, runs["parent"]["exit"],
-                                             runs["change"]["exit"]),
-                  flush=True)
+    record["counts"] = {}
+    for workload in args.workloads:
+        runs = {side: run_once(getattr(args, side), workload, 1, 0, trace=1)
+                for side in SIDES}
+        record["counts"][workload] = {
+            "exit": {side: runs[side]["exit"] for side in SIDES},
+            "metrics": compare_counts(runs)}
+        args.out.write_text(json.dumps(record, indent=1, sort_keys=True)
+                            + "\n")
+        print("%s counts: exit %d/%d" % (workload, runs["parent"]["exit"],
+                                         runs["change"]["exit"]), flush=True)
     index = 0
     for workload in args.workloads:
         for seed in args.seeds:
@@ -241,7 +235,7 @@ def main(argv=None):
             index += 1
     exits = [p[side]["exit"] for p in record["pairs"] for side in SIDES]
     exits += [run["exit"] for run in record.get("tier1", {}).values()]
-    exits += [code for table in record.get("counts", {}).values()
+    exits += [code for table in record["counts"].values()
               for code in table["exit"].values()]
     return 1 if any(exits) else 0
 
