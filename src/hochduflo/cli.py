@@ -12,10 +12,9 @@ import json
 import sys
 from importlib import resources
 
-from .exact import StructuralError, cohomology_slice
-from .liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
-                     ce_hom_differential, ce_hom_space, ce_module_sym,
-                     ce_module_trivial, ce_module_ug)
+from .exact import StructuralError
+from .liealg import (CeComplex, LieAlgebra, OddSym, DualOdd, SymPoly,
+                     UgWindow, ce_module_sym, ce_module_trivial, ce_module_ug)
 from .hochschild import dual_odd_algebra, interior_hh
 from . import suites as S
 from . import duflo as D
@@ -88,17 +87,10 @@ def cmd_cohomology(args):
     modules = {"trivial": lambda: ce_module_trivial(g),
                "sg": lambda: ce_module_sym(SymPoly(g, args.pbw)),
                "ug": lambda: ce_module_ug(UgWindow(g, args.pbw))}
-    if args.coeff not in modules:
-        raise StructuralError("unknown coefficients %r" % args.coeff)
-    module = modules[args.coeff]()
-    odd = OddSym(g)
-    # d_CE on the hom window, sliced by arity
-    hom = ce_hom_space(odd, module.space.keys,
-                       "Hom(S(%s[1]),%s)" % (g.name, module.label))
-    d = ce_hom_differential(odd, module, hom)
+    ce = CeComplex(OddSym(g), modules[args.coeff]())
     out = {"lie": g.name, "kind": "chevalley-eilenberg",
            "coefficients": args.coeff,
-           "dims": {str(n): cohomology_slice(d, d, n)[0]
+           "dims": {str(n): ce.cohomology(n)[0]
                     for n in range(0, g.dimension + 1)}}
     if args.json:
         print(json.dumps(out, indent=2, sort_keys=True))
@@ -230,7 +222,7 @@ def build_parser():
     p = sub.add_parser("hh", help="interior Hochschild dimensions")
     p.add_argument("--algebra", default="dual-odd")
     p.add_argument("--lie", default="abelian1")
-    p.add_argument("--window", type=at_least(0), default=5)
+    p.add_argument("--window", type=at_least(1), default=5)
     p.add_argument("--min-degree", type=int, default=0, dest="min_degree")
     p.add_argument("--max-degree", type=int, default=0, dest="max_degree")
     p.set_defaults(fn=cmd_hh)

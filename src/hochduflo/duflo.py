@@ -21,10 +21,10 @@ from .exact import (Q, ZERO, ONE, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, bilinear, derive_seed,
                     key_memo, random_vector)
 from .series import PolyTrunc, duflo_log_coefficients, matrix_series_det
-from .liealg import (LieAlgebra, UgWindow, OddSym, DualOdd, SymPoly,
-                     pair_dual_vec, pbw_map, ce_differential,
-                     ce_hom_differential, ce_hom_space, ce_module_sym,
-                     ce_module_ug, coadjoint_action_poly, invariants_basis)
+from .liealg import (CeComplex, LieAlgebra, UgWindow, OddSym, DualOdd,
+                     SymPoly, pair_dual_vec, pbw_map, ce_differential,
+                     ce_module_sym, ce_module_ug, coadjoint_action_poly,
+                     invariants_basis)
 from .hochschild import (Cochain, Derived, DgAlgebra, BimoduleOps, add_cochain,
                          hoch_d, hoch_partial, words_of)
 from .keller import LieTriple
@@ -216,15 +216,15 @@ class PolyVectors:
                                          for m, c in s.coeffs.items()})
 
     @key_memo
-    def hom_space(self) -> BasisSpace:
-        """Hom(S(g[1]), S(g)) window with keys (source, value)."""
+    def ce(self) -> CeComplex:
+        """The CE complex Hom(S(g[1]), S(g)), keys (source, value)."""
         name = "Hom(S(%s[1]),Sg)<=%d" % (self.g.name, self.sym.cap)
-        return ce_hom_space(self.odd, self.sym.space.keys, name)
+        return CeComplex(self.odd, ce_module_sym(self.sym), name=name)
 
     @key_memo
     def phi_t(self) -> GradedMap:
         """The identification with CE cochains: (f (x) m) -> <f, -> m."""
-        hom = self.hom_space()
+        hom = self.ce().space
         out = GradedMap(self.space, hom, 0)
         for (b, m) in self.space.keys:
             y = tuple(reversed(b))          # the one partner of b
@@ -233,7 +233,7 @@ class PolyVectors:
         return out
 
     def phi_t_inverse(self) -> GradedMap:
-        hom = self.hom_space()
+        hom = self.ce().space
         phi = self.phi_t()
         out = GradedMap(hom, self.space, 0)
         # phi_t columns are single signed hom-keys, so inversion is keywise
@@ -253,9 +253,8 @@ class PolyVectors:
     @key_memo
     def d_t(self) -> GradedMap:
         """The Schouten-type differential, conjugated through phi_T."""
-        d_ce = ce_hom_differential(self.odd, ce_module_sym(self.sym),
-                                   self.hom_space())
-        return self.phi_t_inverse().compose(d_ce.compose(self.phi_t()))
+        return self.phi_t_inverse().compose(
+            self.ce().d.compose(self.phi_t()))
 
 
 def hkr_cochain(tp: PolyVectors, B: DgAlgebra, t_key, coeff=ONE) -> Cochain:

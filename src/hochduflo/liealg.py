@@ -3,11 +3,11 @@
 Provides structure-constant validation, PBW-normalized enveloping algebra
 windows, the odd symmetric algebra S(g[1]) and its dual with the
 reversed-order monomial convention, one signed letter-removal rule behind
-the pairings, both contractions and the interior product, and
-Chevalley-Eilenberg differentials for the coefficient modules used
-downstream (trivial, symmetric, enveloping, endomorphism).  S(g[1]) and
-S(g) are ``coalgebra.SymCoalgebra`` windows, and every monomial basis here
-comes from ``coalgebra.monomials``.
+the pairings, both contractions and the interior product, and the
+Chevalley-Eilenberg differential for the coefficient modules used
+downstream (trivial, symmetric, enveloping, endomorphism) with its complex
+on a window, ``CeComplex``.  S(g[1]) and S(g) are ``coalgebra.SymCoalgebra``
+windows, and every monomial basis here comes from ``coalgebra.monomials``.
 
 Degree conventions: g sits in degree 0, g[1] in degree -1, (g[1])^ in
 degree +1.  Basis keys are index tuples: weakly increasing for enveloping
@@ -24,7 +24,8 @@ from itertools import permutations
 from .coalgebra import SymCoalgebra, monomials
 from .exact import (Q, ZERO, BasisSpace, GradedMap, GradedVector,
                     StructuralError, WindowOverflow, as_q, bilinear,
-                    kernel_basis, key_memo, rows_rank)
+                    cohomology_slice, guarded_map, kernel_basis, key_memo,
+                    rows_rank)
 from .series import PolyTrunc
 from .signs import sgn, sort_monomial
 
@@ -562,48 +563,54 @@ def ce_differential(odd: OddSym, module: CeModule, f: GradedMap) -> GradedMap:
     return out
 
 
-def ce_hom_space(odd: OddSym, value_keys, name: str) -> BasisSpace:
-    """A window of Hom(S(g[1]), M): keys (y, u) of an odd monomial and a
-    value key, in degree len(y), the arity."""
-    return BasisSpace(name, (((y, u), len(y)) for y in odd.space.keys
-                             for u in value_keys))
+class CeComplex:
+    """The Chevalley-Eilenberg complex Hom(S(g[1]), M) on a window.
 
+    Keys (y, u) pair an odd monomial y with a value key u of the module
+    (by default every key of its space) and sit in degree len(y), the
+    arity.  ``d`` computes each column from ``ce_differential`` when it is
+    first read; images that leave the window are dropped.
+    """
 
-def ce_hom_differential(odd: OddSym, module: CeModule,
-                        hom: BasisSpace) -> GradedMap:
-    """d_CE on a ``ce_hom_space`` window, columnwise; images leaving the
-    window are dropped."""
-    out = GradedMap(hom, hom, 1)
-    for (y, u) in hom.keys:
-        f = GradedMap(odd.space, module.space, len(y), columns={
-            y: GradedVector.basis(module.space, u)})
-        col = GradedVector.zero(hom)
-        for y2, vec in ce_differential(odd, module, f).columns.items():
-            for u2, c in vec.coeffs.items():
-                if (y2, u2) in hom:
-                    col.add_term((y2, u2), c)
-        out.set_column((y, u), col, check=False)
-    return out
+    def __init__(self, odd: OddSym, module: CeModule, value_keys=None,
+                 name=None):
+        self.odd = odd
+        self.module = module
+        values = module.space.keys if value_keys is None else value_keys
+        self.space = BasisSpace(
+            name or "Hom(S(%s[1]),%s)" % (odd.g.name, module.label),
+            (((y, u), len(y)) for y in odd.space.keys for u in values))
+        self.d = guarded_map(self.space, self.space, 1, self._d_column)
+
+    def _d_column(self, key) -> GradedVector:
+        y, u = key
+        f = GradedMap(self.odd.space, self.module.space, len(y), columns={
+            y: GradedVector.basis(self.module.space, u)})
+        df = ce_differential(self.odd, self.module, f).columns
+        return GradedVector(self.space, {
+            (y2, u2): c for y2, vec in df.items()
+            for u2, c in vec.coeffs.items() if (y2, u2) in self.space})
+
+    def cohomology(self, n: int):
+        """Dimension and representatives of H^n on the window."""
+        return cohomology_slice(self.d, self.d, n)
+
+    def invariants(self, degree: int = 0):
+        """Exact basis of the g-invariants of a module degree slice, as
+        vectors of the module: the kernel of ``d`` on the keys ((), u) with
+        u of that degree, reading only those columns of ``d``.  Refused
+        when the window lacks some value key of that degree."""
+        keys = self.module.space.keys_of_degree(degree)
+        if any(((), u) not in self.space for u in keys):
+            raise WindowOverflow("degree-%d values outside the window %s"
+                                 % (degree, self.space.name))
+        cocycles = GradedMap(self.module.space, self.space, 1 - degree,
+                             columns={u: self.d.column(((), u))
+                                      for u in keys}, check=False)
+        return kernel_basis(cocycles, degree)
 
 
 def invariants_basis(g: LieAlgebra, module: CeModule, degree: int = 0):
-    """Exact basis of the g-invariants of a module degree slice.
-
-    Invariants are the kernel of the stacked action map m -> (e_i . m)_i,
-    i.e. the degree-0 Chevalley-Eilenberg cocycles.
-    """
-    d = g.dimension
-    stacked_items = []
-    for i in range(d):
-        for key in module.space.keys:
-            stacked_items.append(((i, key), module.space.degree[key]))
-    stacked = BasisSpace("stack(%s)" % module.label, stacked_items)
-    m = GradedMap(module.space, stacked, 0)
-    for key in module.space.keys:
-        col = GradedVector.zero(stacked)
-        for i in range(d):
-            img = module.action(i, GradedVector.basis(module.space, key))
-            for mkey, c in img.coeffs.items():
-                col.add_term((i, mkey), c)
-        m.set_column(key, col, check=False)
-    return kernel_basis(m, degree)
+    """Exact basis of the g-invariants of a module degree slice: the
+    degree-0 Chevalley-Eilenberg cocycles."""
+    return CeComplex(OddSym(g), module).invariants(degree)

@@ -30,7 +30,10 @@ carried them, and the polyvector product with the copy of the S(g) product
 it had before it read ``SymPoly.mul_keys``.  The two actions of the Koszul
 bimodule are kept as they were before they read the window tables
 (``UgWindow.mul_keys`` and ``OddSym.contract_key``) into one dict: one
-``add_term`` per key, and a fresh contraction on every call.
+``add_term`` per key, and a fresh contraction on every call.  The
+Chevalley-Eilenberg window is kept as it was before ``liealg.CeComplex``
+carried it: a hom window and a differential built with every column up
+front, and the invariants as the kernel of a stacked action map.
 """
 
 import random
@@ -47,8 +50,8 @@ from hochduflo.exact import (ONE, ZERO, BasisSpace, GradedMap, GradedVector,
 from hochduflo.hochschild import (hoch_d, total_cochain_space,
                                   total_differential, words_of)
 from hochduflo.keller import ModuleCochain
-from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, ce_module_sym,
-                              contract, invariants_basis)
+from hochduflo.liealg import (DualOdd, LieAlgebra, OddSym, ce_differential,
+                              ce_module_sym, contract)
 from hochduflo.signs import (koszul_sign, sgn, sort_monomial, unshuffle_sign,
                              unshuffles)
 from hochduflo.trio import XDerived, d_ax, d_right, d_xb, del_x
@@ -1086,7 +1089,7 @@ def old_polyvector_mul_keys(tp, k1, k2) -> GradedVector:
 # -- the Duflo endgame's class match, as the suite's closures wrote it -------
 
 def old_get_quadratic(g, ctx):
-    inv = invariants_basis(g, ce_module_sym(ctx.sym), 0)
+    inv = stacked_invariants_basis(g, ce_module_sym(ctx.sym), 0)
     quad = [v for v in inv
             if v.coeffs and all(len(k) == 2 for k in v.coeffs)]
     return quad[0] if quad else None
@@ -1134,3 +1137,43 @@ def old_class_match(ctx, b_complex, parts1, parts2):
         return None
     columns = [d_in.column(k) for k in d_in.source.keys]
     return solve(columns, v1 - v2) is not None
+
+
+# -- the CE window as liealg built it before ``CeComplex`` carried it: an ---
+# -- eager hom window and differential, and invariants as the kernel of a ---
+# -- stacked action map ------------------------------------------------------
+
+def eager_ce_hom(odd: OddSym, module, value_keys, name: str):
+    """``(hom, d)``: the window of Hom(S(g[1]), M) with keys (y, u) in
+    degree len(y), and d_CE on it with every column computed up front;
+    images leaving the window are dropped."""
+    hom = BasisSpace(name, (((y, u), len(y)) for y in odd.space.keys
+                            for u in value_keys))
+    d = GradedMap(hom, hom, 1)
+    for (y, u) in hom.keys:
+        f = GradedMap(odd.space, module.space, len(y), columns={
+            y: GradedVector.basis(module.space, u)})
+        col = GradedVector.zero(hom)
+        for y2, vec in ce_differential(odd, module, f).columns.items():
+            for u2, c in vec.coeffs.items():
+                if (y2, u2) in hom:
+                    col.add_term((y2, u2), c)
+        d.set_column((y, u), col, check=False)
+    return hom, d
+
+
+def stacked_invariants_basis(g: LieAlgebra, module, degree: int = 0):
+    """The g-invariants of a module degree slice as the kernel of the
+    stacked action map m -> (e_i . m)_i."""
+    stacked = BasisSpace("stack(%s)" % module.label, (
+        ((i, key), module.space.degree[key]) for i in range(g.dimension)
+        for key in module.space.keys))
+    m = GradedMap(module.space, stacked, 0)
+    for key in module.space.keys:
+        col = GradedVector.zero(stacked)
+        for i in range(g.dimension):
+            img = module.action(i, GradedVector.basis(module.space, key))
+            for mkey, c in img.coeffs.items():
+                col.add_term((i, mkey), c)
+        m.set_column(key, col, check=False)
+    return kernel_basis(m, degree)

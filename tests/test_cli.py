@@ -73,11 +73,28 @@ def test_rationals_parse(tmp_path):
     assert g.bracket(0, 1) == {1: Fraction(1, 2)}
 
 
-def test_cohomology_table_sl2():
-    proc = run_cli(["--json", "cohomology", "ce", "--lie", "sl2"])
-    assert proc.returncode == 0
-    out = json.loads(proc.stdout)
-    assert [out["dims"][str(n)] for n in range(4)] == [1, 0, 0, 1]
+CE_TABLE = [
+    ("aff1", "trivial", [1, 1, 0]),
+    ("aff1", "sg", [1, 1, 0]),
+    ("aff1", "ug", [1, 1, 0]),
+    ("sl2", "trivial", [1, 0, 0, 1]),
+    ("sl2", "sg", [2, 0, 0, 2]),
+    ("sl2", "ug", [2, 0, 0, 2]),
+    ("heisenberg", "trivial", [1, 2, 2, 1]),
+    ("heisenberg", "sg", [3, 11, 14, 6]),
+    ("heisenberg", "ug", [3, 11, 14, 6]),
+]
+
+
+@pytest.mark.parametrize("lie, coeff, dims", CE_TABLE,
+                         ids=["%s-%s" % row[:2] for row in CE_TABLE])
+def test_cohomology_table(capsys, lie, coeff, dims):
+    """CE cohomology dimensions in degrees 0 .. dim g at the default
+    ``--pbw 2``."""
+    assert main(["--json", "cohomology", "ce", "--lie", lie,
+                 "--coeff", coeff]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["dims"] == {str(n): dim for n, dim in enumerate(dims)}
 
 
 def test_duflo_series_abelian():
@@ -166,11 +183,14 @@ def test_bad_lie_input_is_a_one_line_error(tmp_path, capsys, content):
     ["cohomology", "ce", "--pbw", "-1"],
     ["duflo", "series", "--order", "-1"],
     ["hh", "--window", "-1"],
+    ["hh", "--window", "0"],
     ["hh", "--min-degree", "1", "--max-degree", "0"],
     ["cohomology", "de-rham"],
+    ["cohomology", "ce", "--coeff", "bogus"],
     [],
 ], ids=["trials", "pbw", "max-arity", "series-order", "not-int",
-        "ce-pbw", "order", "window", "degrees", "choice", "no-command"])
+        "ce-pbw", "order", "window", "window-zero", "degrees", "choice",
+        "coeff", "no-command"])
 def test_out_of_range_flags_are_one_line_errors(capsys, argv):
     """A flag outside the range the README states exits 2 with one line on
     standard error, before anything is computed or printed."""

@@ -147,8 +147,10 @@ def test_polyvector_product_reads_the_s_g_product(sl2):
                 continue
             assert tp.mul_keys(k1, k2) == want, (k1, k2)
     assert refused
-    assert tp.hom_space() is tp.hom_space() and tp.phi_t() is tp.phi_t()
-    assert tp.d_t() is tp.d_t()
+    assert tp.ce() is tp.ce() and tp.phi_t() is tp.phi_t()
+    assert tp.ce().d is tp.ce().d and tp.d_t() is tp.d_t()
+    key = tp.ce().space.keys[-1]
+    assert tp.ce().d.column(key) is tp.ce().d.column(key)
 
 
 def test_hkr_values_live_in_the_cochain_module(aff1):

@@ -9,16 +9,18 @@ import pytest
 
 from hochduflo.exact import (GradedMap, GradedVector, WindowOverflow,
                              derive_seed, random_vector)
-from hochduflo.liealg import (LieAlgebra, OddSym, DualOdd, SymPoly, UgWindow,
-                              adjoint_action_ug, ce_differential,
+from hochduflo import liealg
+from hochduflo.liealg import (CeComplex, LieAlgebra, OddSym, DualOdd, SymPoly,
+                              UgWindow, adjoint_action_ug, ce_differential,
                               ce_module_sym, ce_module_trivial, ce_module_ug,
-                              cocontract, contract, invariants_basis, pair_dual_vec,
-                              pair_vec_dual, pbw_map)
+                              cocontract, contract, invariants_basis,
+                              pair_dual_vec, pair_vec_dual, pbw_map)
 from hochduflo.duflo import quadratic_invariant
 
-from oracles import (old_cocontract, old_contract, old_dual_differential,
-                     old_interior_product, old_pair_dual_vec,
-                     old_pair_vec_dual, pbw_normal_oracle, sym_pair_oracle)
+from oracles import (eager_ce_hom, old_cocontract, old_contract,
+                     old_dual_differential, old_interior_product,
+                     old_pair_dual_vec, old_pair_vec_dual, pbw_normal_oracle,
+                     stacked_invariants_basis, sym_pair_oracle)
 
 
 def test_validate_examples(sl2, abelian2):
@@ -284,6 +286,61 @@ def test_invariants(sl2, abelian2):
     ug = UgWindow(sl2, 2)
     centre = invariants_basis(sl2, ce_module_ug(ug), 0)
     assert len(centre) == 2                    # the unit and the Casimir
+
+
+def oscillator():
+    """[e1, e2] = e3, [e1, e3] = -e2, [e2, e3] = e4 with e4 central."""
+    return LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {3: 1}},
+                      "oscillator")
+
+
+CE_ALGEBRAS = {"sl2": LieAlgebra.sl2, "so3": LieAlgebra.so3,
+               "heisenberg3": LieAlgebra.heisenberg3, "aff1": LieAlgebra.aff1,
+               "oscillator": oscillator}
+CE_MODULES = {"trivial": lambda g, cap: ce_module_trivial(g),
+              "sg": lambda g, cap: ce_module_sym(SymPoly(g, cap)),
+              "ug": lambda g, cap: ce_module_ug(UgWindow(g, cap))}
+
+
+@pytest.mark.parametrize("coeff", sorted(CE_MODULES))
+@pytest.mark.parametrize("lie", sorted(CE_ALGEBRAS))
+def test_ce_complex_matches_the_eager_window(lie, coeff):
+    """The CE window's lazy differential equals the eager hom differential
+    column for column, and its invariants are the kernel of the stacked
+    action map vector for vector, in the same order."""
+    g = CE_ALGEBRAS[lie]()
+    assert g.validate().ok
+    odd = OddSym(g)
+    for cap in (3, 4):
+        module = CE_MODULES[coeff](g, cap)
+        ce = CeComplex(odd, module)
+        hom, d = eager_ce_hom(odd, module, module.space.keys, ce.space.name)
+        assert ce.space.keys == hom.keys and ce.space.degree == hom.degree
+        assert ce.invariants() == stacked_invariants_basis(g, module, 0)
+        for key in hom.keys:
+            assert list(ce.d.column(key).items()) == \
+                list(d.column(key).items()), (cap, key)
+        assert list(ce.d.columns) == list(d.columns)
+
+
+def test_ce_invariants_read_only_the_degree_zero_columns(monkeypatch, heis3):
+    """Invariants read the columns ((), u) of d and no other, each once."""
+    seen = []
+
+    def counted(odd, module, f):
+        seen.extend(f.columns)
+        return ce_differential(odd, module, f)
+
+    monkeypatch.setattr(liealg, "ce_differential", counted)
+    module = ce_module_sym(SymPoly(heis3, 4))
+    ce = CeComplex(OddSym(heis3), module)
+    first = ce.invariants()
+    assert ce.invariants() == first
+    assert seen == [()] * module.space.dim
+    part = CeComplex(ce.odd, module, [u for u in module.space.keys
+                                      if len(u) <= 2])
+    with pytest.raises(WindowOverflow):
+        part.invariants()
 
 
 def test_adjoint_action_is_commutator_in_interior(sl2):
