@@ -446,15 +446,17 @@ def gerstenhaber(f: Cochain, g: Cochain) -> Cochain:
     if p1 + p2 - 1 < 0 or p1 < 0 or p2 < 0:
         return ZeroCochain(A, f.module, p1 + p2 - 1, r1 + r2)
     flip = sgn((p1 + r1 - 1) * (p2 + r2 - 1))
+    # the insertions, each built once per bracket with its sign
+    terms = ([(circ(f, g, i), sgn((p1 - 1) * r2 + (i - 1) * (p2 - 1)))
+              for i in range(1, p1 + 1)]
+             + [(circ(g, f, j),
+                 -flip * sgn((p2 - 1) * r1 + (j - 1) * (p1 - 1)))
+                for j in range(1, p2 + 1)])
 
     def fn(word):
         out = GradedVector.zero(f.module.space)
-        for i in range(1, p1 + 1):
-            sign = sgn((p1 - 1) * r2 + (i - 1) * (p2 - 1))
-            out.add_inplace(circ(f, g, i).value(word), sign)
-        for j in range(1, p2 + 1):
-            sign = sgn((p2 - 1) * r1 + (j - 1) * (p1 - 1))
-            out.add_inplace(circ(g, f, j).value(word), -flip * sign)
+        for h, sign in terms:
+            out.add_inplace(h.value(word), sign)
         return out
 
     return Derived(A, f.module, p1 + p2 - 1, r1 + r2, fn,

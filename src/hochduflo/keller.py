@@ -50,8 +50,8 @@ class LieTriple:
             for x in self.odd.space.keys:
                 items.append(((u, x), -len(x)))
         self.x_space = BasisSpace("Ug(x)S(%s[1])<=%d" % (g.name, pbw_cap), items)
-        self.X = Bimodule(self.x_space, self._lmul_key, self._rmul_key,
-                          self._d_x_key, name=self.x_space.name)
+        self.X = Bimodule(self.x_space, self.ug, self.odd, self._lmul_key,
+                          self._rmul_key, self._d_x_key)
 
     # -- bimodule structure -------------------------------------------------
 

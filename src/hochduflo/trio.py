@@ -11,39 +11,53 @@ the X-part.
 from __future__ import annotations
 
 from .signs import sgn
-from .exact import (BasisSpace, GradedMap, GradedVector, StructuralError,
-                    guarded_map, key_memo)
+from .exact import (ZERO, BasisSpace, GradedMap, GradedVector,
+                    StructuralError, guarded_map, key_memo)
 from .hochschild import (Cochain, DgAlgebra, WordCochain, add_cochain,
                          hoch_d, hoch_partial, kept_keys, seeded_value)
 
 
 class Bimodule:
-    """Presentation of a dg A-B-bimodule X on a window."""
+    """The dg Ug-S(g[1])^-bimodule X = Ug (x) S(g[1]) on a window.
 
-    def __init__(self, space: BasisSpace, lmul_key, rmul_key,
-                 differential_key=None, name=None):
-        self.space = space
+    Its keys are pairs (u, x); ``lmul_key`` and ``rmul_key`` act on one
+    key.  The vector actions follow the tensor layout: ``lmul`` multiplies
+    only the Ug factor (``ug.mul_keys``), ``rmul`` contracts only the
+    S(g[1]) factor (``odd.contract_key``), and each adds its products
+    straight into one output dict: by key of v, then by term of its product.
+    """
+
+    def __init__(self, space: BasisSpace, ug, odd, lmul_key, rmul_key,
+                 differential_key):
+        self.space, self.name = space, space.name
+        self.ug, self.odd = ug, odd
         self.lmul_key = lmul_key        # (a_key, x_key) -> X-vector
         self.rmul_key = rmul_key        # (x_key, b_key) -> X-vector
-        self.differential_key = differential_key
-        self.name = name or space.name
+        self.differential_key = self.d_key = differential_key
 
     def lmul(self, a_key, v: GradedVector) -> GradedVector:
         out = GradedVector.zero(self.space)
-        for k, c in v.coeffs.items():
-            out.add_inplace(self.lmul_key(a_key, k), c)
+        acc, mul = out.coeffs, self.ug.mul_keys
+        for (u, x), c in v.coeffs.items():
+            for k, d in mul(a_key, u).coeffs.items():
+                s = acc.get((k, x), ZERO) + c * d
+                if s:
+                    acc[(k, x)] = s
+                else:
+                    del acc[(k, x)]
         return out
 
     def rmul(self, v: GradedVector, b_key) -> GradedVector:
         out = GradedVector.zero(self.space)
-        for k, c in v.coeffs.items():
-            out.add_inplace(self.rmul_key(k, b_key), c)
+        acc, contract = out.coeffs, self.odd.contract_key
+        for (u, x), c in v.coeffs.items():
+            for k, d in contract(x, b_key).coeffs.items():
+                s = acc.get((u, k), ZERO) + c * d
+                if s:
+                    acc[(u, k)] = s
+                else:
+                    del acc[(u, k)]
         return out
-
-    def d_key(self, key) -> GradedVector:
-        if self.differential_key is None:
-            return GradedVector.zero(self.space)
-        return self.differential_key(key)
 
     def d_vec(self, v: GradedVector) -> GradedVector:
         out = GradedVector.zero(self.space)
@@ -483,7 +497,10 @@ class EndMaps:
     """End(X): the GradedMaps X -> X, with the differential [d_X, -].
 
     ``zero``, ``add``, ``scale`` and ``d`` of the value-module protocol of
-    :func:`hochschild.hoch_d`; the two subclasses add the actions.
+    :func:`hochschild.hoch_d`; the two subclasses add the actions.  Sums
+    and scalings are lazy maps like the actions: column k of ``add(phi,
+    psi)`` is phi's column k plus psi's, read when k is first read, and a
+    key refused by either operand stays refused.
     """
 
     def __init__(self, X: Bimodule):
@@ -494,11 +511,16 @@ class EndMaps:
 
     @staticmethod
     def add(phi: GradedMap, psi: GradedMap) -> GradedMap:
-        return phi + psi
+        if (phi.source is not psi.source or phi.target is not psi.target
+                or phi.shift != psi.shift):
+            raise StructuralError("incompatible maps")
+        return guarded_map(phi.source, phi.target, phi.shift,
+                           lambda k: phi.column(k) + psi.column(k))
 
     @staticmethod
     def scale(phi: GradedMap, c) -> GradedMap:
-        return phi.scale(c)
+        return guarded_map(phi.source, phi.target, phi.shift,
+                           lambda k: phi.column(k).scale(c))
 
     def d(self, phi: GradedMap) -> GradedMap:
         X = self.X

@@ -30,7 +30,9 @@ carried them, and the polyvector product with the copy of the S(g) product
 it had before it read ``SymPoly.mul_keys``.  The two actions of the Koszul
 bimodule are kept as they were before they read the window tables
 (``UgWindow.mul_keys`` and ``OddSym.contract_key``) into one dict: one
-``add_term`` per key, and a fresh contraction on every call.  The
+``add_term`` per key, and a fresh contraction on every call; their
+vector actions are kept as one per-key vector summed into the output per
+key of the argument, as before they wrote into one dict.  The
 Chevalley-Eilenberg window is kept as it was before ``liealg.CeComplex``
 carried it: a hom window and a differential built with every column up
 front, and the invariants as the kernel of a stacked action map.
@@ -786,6 +788,24 @@ def old_rmul_key(triple, x_key, b_key) -> GradedVector:
                           GradedVector.basis(triple.odd.space, x), b_key)
     for k, c in contracted.items():
         out.add_term((u, k), c)
+    return out
+
+
+def per_key_lmul(X, a_key, v: GradedVector) -> GradedVector:
+    """``trio.Bimodule.lmul`` as it summed one ``lmul_key`` vector per key
+    of ``v``."""
+    out = GradedVector.zero(X.space)
+    for k, c in v.coeffs.items():
+        out.add_inplace(X.lmul_key(a_key, k), c)
+    return out
+
+
+def per_key_rmul(X, v: GradedVector, b_key) -> GradedVector:
+    """``trio.Bimodule.rmul`` as it summed one ``rmul_key`` vector per key
+    of ``v``."""
+    out = GradedVector.zero(X.space)
+    for k, c in v.coeffs.items():
+        out.add_inplace(X.rmul_key(k, b_key), c)
     return out
 
 

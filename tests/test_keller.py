@@ -26,7 +26,7 @@ from hochduflo.duflo import (DufloContext, duflo_series, hkr,
                              series_contraction)
 
 from oracles import (LazyModuleCochain, lazy_frak_h_sequence, old_lmul_key,
-                     old_rmul_key)
+                     old_rmul_key, per_key_lmul, per_key_rmul)
 
 
 def test_build_triple_rejects_bad_jacobi():
@@ -75,6 +75,41 @@ def test_action_keys_match_the_add_term_oracles(name):
             got = triple._rmul_key(x_key, b_key)
             want = old_rmul_key(triple, x_key, b_key)
             assert list(got.items()) == list(want.items()), (x_key, b_key)
+    assert refused
+
+
+def _action_outcome(act, *args):
+    try:
+        return list(act(*args).coeffs.items())
+    except WindowOverflow:
+        return WindowOverflow
+
+
+@pytest.mark.parametrize("name", ["aff1", "sl2", "heisenberg3"])
+def test_vector_actions_match_the_per_key_sums(name):
+    """X's one-pass vector actions equal the old per-key sums on seeded X
+    vectors of a PBW cap 5 window: the same coefficients in the same
+    insertion order, and a refusal on the same inputs, also for a vector
+    with a key at the PBW edge."""
+    triple = LieTriple(getattr(LieAlgebra, name)(), 5)
+    X, keys = triple.X, triple.x_space.keys
+    rng = random.Random(derive_seed("x-actions", name))
+    pool = [k for k in keys if len(k[0]) <= 4]
+    edge = next(k for k in keys if len(k[0]) == triple.pbw_cap)
+    vectors = [GradedVector(triple.x_space, {
+        k: Q(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        for k in rng.sample(pool, n)}) for n in (1, 2, 5, 12, 30)
+        for _ in range(4)]
+    vectors.append(GradedVector(triple.x_space, {pool[3]: 2, edge: -1}))
+    refused = 0
+    for v in vectors:
+        for a_key in (k for k in triple.ug.space.keys if len(k) <= 2):
+            got = _action_outcome(X.lmul, a_key, v)
+            assert got == _action_outcome(per_key_lmul, X, a_key, v)
+            refused += got is WindowOverflow
+        for b_key in triple.dual.space.keys:
+            assert (_action_outcome(X.rmul, v, b_key)
+                    == _action_outcome(per_key_rmul, X, v, b_key))
     assert refused
 
 

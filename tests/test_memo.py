@@ -132,13 +132,26 @@ def test_memo_agrees_with_the_formula(name):
 
 def freeze(value):
     """Make a shared value read-only in place: a vector's coefficients and
-    an eager map's columns become read-only mappings.  Lazy maps guard
-    their own columns.  Returns whether anything was frozen."""
+    an eager map's columns become read-only mappings.  A lazy map's
+    columns read so far are frozen, and each later column as it is
+    computed.  Returns whether anything was frozen."""
     if isinstance(value, GradedVector):
         if isinstance(value.coeffs, dict):
             value.coeffs = MappingProxyType(value.coeffs)
         return True
-    if isinstance(value, GradedMap) and not isinstance(value, LazyMap):
+    if isinstance(value, LazyMap):
+        for col in value._read.values():
+            freeze(col)
+        col_fn = value._col_fn
+        if col_fn is not None:
+            def frozen_column(key):
+                col = col_fn(key)
+                freeze(col)
+                return col
+
+            value._col_fn = frozen_column
+        return True
+    if isinstance(value, GradedMap):
         for col in value.columns.values():
             freeze(col)
         if isinstance(value.columns, dict):

@@ -39,12 +39,36 @@ def test_summary_counts_gauge_refusals_and_unscaled_passes():
     pairs = [{"workload": "w", "parent": ok(1.0, 0.4), "change": ok(0.9, 0.3)},
              {"workload": "w", "parent": ok(1.0, 0.5), "change": refused},
              {"workload": "w", "parent": crashed, "change": refused}]
-    table = bench.summarize(pairs, {"wall_s": "lower"})["w"]
+    table = bench.summarize(pairs, {"wall_s": "lower"},
+                            {"parent": 0.32, "change": 0.32})["w"]
     assert table["pairs"] == 1
     assert table["gauge_refusals"] == {"parent": 0, "change": 2}
     assert table["unscaled_pass_s"] == {"parent": [0.4, 0.5, None],
                                         "change": [0.3, None, None]}
     assert table["wall_s"]["change_wins"] == 1
+    assert table["gauge_headroom"] == {"parent": 1.25, "change": 0.938}
+
+
+def test_summary_sets_the_gauge_headroom_per_side():
+    """``gauge_headroom`` is each side's smallest unscaled pass over its
+    gauge floor, read from the checkout's ``perfbench/run.py``; a side
+    with no recorded pass has none."""
+    bench = load_bench_pairs()
+    floor = bench.gauge_floor_s(ROOT)
+    assert 0.3 < floor < 0.35
+
+    def run(unscaled):
+        return {"exit": 0, "stderr": None, "unscaled_pass_s": unscaled,
+                "result": {"failed": 0,
+                           "metrics": {"wall_s": {"value": 1.0}}}}
+
+    pairs = [{"workload": "a", "parent": run(0.48), "change": run(0.36)},
+             {"workload": "a", "parent": run(0.40), "change": run(None)},
+             {"workload": "b", "parent": run(None), "change": run(0.2)}]
+    summary = bench.summarize(pairs, {"wall_s": "lower"},
+                              {"parent": 0.32, "change": 0.4})
+    assert summary["a"]["gauge_headroom"] == {"parent": 1.25, "change": 0.9}
+    assert summary["b"]["gauge_headroom"] == {"parent": None, "change": 0.5}
 
 
 def test_counts_are_set_side_by_side():

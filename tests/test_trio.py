@@ -250,6 +250,45 @@ def test_lazy_end_maps_match_the_eager_builder(lie, monkeypatch):
     assert refusals
 
 
+@pytest.mark.parametrize("lie", ["aff1", "sl2", "heisenberg3"])
+def test_lazy_end_sums_and_scalings_match_eager(lie, monkeypatch):
+    """``EndMaps.add`` and ``EndMaps.scale`` on the End(X) values of
+    ``BLinearEnds`` and ``ALinearEnds``, which refuse part of the window,
+    give the eager ``GradedMap`` sum and scaling: a refused key raises on
+    every read, and once materialized the non-zero columns and the
+    coverage agree.  Maps of different shifts are refused when added."""
+    triple = LieTriple(getattr(LieAlgebra, lie)(), 4)
+    builders = [(name, build) for name, build in end_builders(triple)
+                if "Ends." in name]
+
+    def eager(build):
+        with monkeypatch.context() as m:
+            m.setattr(trio, "guarded_map", eager_guarded_map)
+            return build()
+
+    def check(lazy, want):
+        for key in lazy.source.keys:
+            got = _outcome_of(lazy, key)
+            assert got == _outcome_of(want, key), key
+            assert _outcome_of(lazy, key) == got, key
+        assert lazy.covered == want.covered
+        assert lazy.columns == {k: v for k, v in want.columns.items() if v}
+
+    refused = 0
+    for i, (_, build) in enumerate(builders):
+        want = eager(build)
+        refused += want.covered is not None
+        for c in (-2, 0, Q(1, 3)):
+            check(EndMaps.scale(build(), c), want.scale(c))
+        for _, other in builders[i:]:
+            if want.shift != eager(other).shift:
+                with pytest.raises(StructuralError):
+                    EndMaps.add(build(), other())
+                continue
+            check(EndMaps.add(build(), other()), want + eager(other))
+    assert refused
+
+
 def test_phi_rho_is_mixed_leg_pointwise(sl2):
     triple = LieTriple(sl2, 4)
     rng = random.Random(5)

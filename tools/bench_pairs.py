@@ -25,8 +25,11 @@ neither side).  Those figures read only the pairs where both sides gave a
 result, so each workload and side also records every run's unscaled median
 pass (from ``run.py``'s ``unscaled:`` line, null when it printed none) and
 ``gauge_refusals``, the runs that exited 2 because the speed gauge had too
-few samples around a pass.  The file is rewritten after every pair, so an interrupted
-recording keeps its finished pairs.  Only the standard library is used.
+few samples around a pass, and ``gauge_headroom``: the smallest unscaled
+pass over the gauge floor ``MIN_SAMPLES * SAMPLE_S``, both read from the
+side's own ``perfbench/run.py`` (below 1 the gauge refuses such a pass).
+The file is rewritten after every pair, so an interrupted recording keeps
+its finished pairs.  Only the standard library is used.
 
 Before the pairs, one traced run (``perfbench/run.py --workload W --seed 1
 --seconds 0 --trace 1``) of each workload runs in each checkout, parent
@@ -39,6 +42,7 @@ status.  ``--seeds ''`` runs no timed pairs, so it records only the counts.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -66,6 +70,19 @@ def parse_seeds(text):
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def gauge_floor_s(checkout):
+    """``MIN_SAMPLES * SAMPLE_S`` of ``checkout``'s ``perfbench/run.py``,
+    read without importing it: about the shortest pass its gauge
+    measures."""
+    tree = ast.parse((Path(checkout) / "perfbench" / "run.py").read_text())
+    found = {target.id: ast.literal_eval(node.value)
+             for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Name)
+             and target.id in ("MIN_SAMPLES", "SAMPLE_S")}
+    return found["MIN_SAMPLES"] * found["SAMPLE_S"]
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -144,22 +161,33 @@ def gauge_refused(run):
     return run["exit"] == 2 and GAUGE_REFUSAL in (run["stderr"] or "")
 
 
-def summarize(pairs, metrics):
+def headroom(passes, floor):
+    """The smallest recorded pass over the gauge floor (None when no pass
+    was recorded)."""
+    passes = [s for s in passes if s is not None]
+    return round(min(passes) / floor, 3) if passes else None
+
+
+def summarize(pairs, metrics, floors):
     """Per workload and metric: both sides' quartiles and the change's wins;
-    per workload and side: every run's unscaled pass and the gauge refusals."""
+    per workload and side: every run's unscaled pass, the gauge refusals
+    and the gauge headroom over ``floors[side]``."""
     out = {}
     for workload in sorted({p["workload"] for p in pairs}):
         runs = [p for p in pairs if p["workload"] == workload]
         done = [p for p in runs
                 if p["parent"]["result"] and p["change"]["result"]]
+        passes = {side: [p[side]["unscaled_pass_s"] for p in runs]
+                  for side in SIDES}
         table = out[workload] = {
             "pairs": len(done),
             "failed_ops": {side: sum(p[side]["result"]["failed"]
                                      for p in done) for side in SIDES},
             "gauge_refusals": {side: sum(gauge_refused(p[side])
                                          for p in runs) for side in SIDES},
-            "unscaled_pass_s": {side: [p[side]["unscaled_pass_s"]
-                                       for p in runs] for side in SIDES}}
+            "gauge_headroom": {side: headroom(passes[side], floors[side])
+                               for side in SIDES},
+            "unscaled_pass_s": passes}
         for name, better in metrics.items() if done else ():
             values = {side: [p[side]["result"]["metrics"][name]["value"]
                              for p in done] for side in SIDES}
@@ -192,6 +220,7 @@ def main(argv=None):
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
+    floors = {side: gauge_floor_s(getattr(args, side)) for side in SIDES}
     record = {
         "command": "perfbench/run.py --seconds %g --trace 0" % seconds,
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
@@ -226,7 +255,7 @@ def main(argv=None):
                 pair[side] = run_once(getattr(args, side), workload, seed,
                                       seconds)
             record["pairs"].append(pair)
-            record["summary"] = summarize(record["pairs"], metrics)
+            record["summary"] = summarize(record["pairs"], metrics, floors)
             args.out.write_text(json.dumps(record, indent=1, sort_keys=True)
                                 + "\n")
             print("%s seed %d (%s first): exit %d/%d" % (
